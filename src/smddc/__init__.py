@@ -12,7 +12,6 @@ from .analytic import (
     alphas_from_betas,
     bessel_k1,
     beta1,
-    beta1_far,
     beta2_sdo,
     beta2_symmetric,
     chernoff_generic,
@@ -24,24 +23,11 @@ from .analytic import (
     oma_session_error_binomial,
     x_k1,
 )
-from .channel import RngStream, SlotGains, draw_exponential, draw_slot_gains, sorted_descending
+from .channel import RngStream, draw_exponential
 from .config import SystemConfig, db_to_linear, linear_to_db
-from .policies import (
-    PolicyKind,
-    SlotDecision,
-    decide_fo,
-    decide_oma,
-    decide_sdo,
-    decide_symmetric,
-)
+from .policies import PolicyKind
 from .power_ladder import PowerLadder, build_ladder, closed_form_level, sinr_at_level
-from .simulator import (
-    SessionOutcome,
-    SessionStats,
-    estimate_alphas,
-    estimate_session_error,
-    run_session,
-)
+from .simulator import SessionStats, estimate_alphas, estimate_session_error
 
 __all__ = [
     "ChernoffResult",
@@ -50,16 +36,12 @@ __all__ = [
     "PolicyKind",
     "PowerLadder",
     "RngStream",
-    "SessionOutcome",
     "SessionSpec",
     "SessionStats",
-    "SlotDecision",
-    "SlotGains",
     "SystemConfig",
     "alphas_from_betas",
     "bessel_k1",
     "beta1",
-    "beta1_far",
     "beta2_sdo",
     "beta2_symmetric",
     "build_ladder",
@@ -68,12 +50,7 @@ __all__ = [
     "chernoff_oma",
     "closed_form_level",
     "db_to_linear",
-    "decide_fo",
-    "decide_oma",
-    "decide_sdo",
-    "decide_symmetric",
     "draw_exponential",
-    "draw_slot_gains",
     "estimate_alphas",
     "estimate_session_error",
     "exact_session_error",
@@ -81,9 +58,7 @@ __all__ = [
     "mean_packets",
     "noma_factor",
     "oma_session_error_binomial",
-    "run_session",
     "sinr_at_level",
-    "sorted_descending",
     "x_k1",
 ]
 

@@ -92,13 +92,6 @@ def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def beta1_far(rho1: float, sigma2: float, omega_far: float) -> float:
-    """Probability that a far user (mean gain sigma2, budget omega_far) transmits."""
-    if rho1 <= 0 or sigma2 <= 0 or omega_far <= 0:
-        raise ValueError("rho1, sigma2 and omega_far must be positive")
-    return math.exp(-rho1 / (sigma2 * omega_far))
-
-
 # --- packet-count distributions -------------------------------------------
 
 
@@ -186,16 +179,11 @@ class ChernoffResult:
 _INFEASIBLE = ChernoffResult(bound=1.0, lambda_star=0.0, feasible=False)
 
 
-def chernoff_objective(dist: PacketCountDistribution, kappa: float, lam: float) -> float:
-    """Per-slot Chernoff term exp(kappa*lam) * E[exp(-lam*V)].
-
-    The full bound is this quantity raised to the w_s power.
-    """
-    ms = np.arange(len(dist.probs))
-    return float(math.exp(special.logsumexp(-lam * ms, b=np.asarray(dist.probs)) + kappa * lam))
-
-
 def _log_objective(probs, kappa, lam):
+    """Log of the per-slot Chernoff term exp(kappa*lam) * E[exp(-lam*V)].
+
+    The full bound is w_s times this, exponentiated.
+    """
     ms = np.arange(len(probs))
     return float(special.logsumexp(-lam * ms, b=probs) + kappa * lam)
 
@@ -329,12 +317,10 @@ def exact_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> flo
 def oma_session_error_binomial(alpha1_bar: float, spec: SessionSpec) -> float:
     """Exact OMA session error from the binomial tail; independent cross-check.
 
-    Sum over w' < w of C(w_s, w') * alpha1_bar^w' * (1-alpha1_bar)^(w_s-w').
+    Pr(Binomial(w_s, alpha1_bar) < w), evaluated as the regularized incomplete
+    beta function I_{1-alpha1_bar}(w_s - w + 1, w), which stays finite for any
+    w_s where the term-by-term binomial sum overflows.
     """
     if not 0.0 <= alpha1_bar <= 1.0:
         raise ValueError(f"alpha1_bar must be in [0,1], got {alpha1_bar}")
-    a0 = 1.0 - alpha1_bar
-    total = 0.0
-    for w in range(spec.w):
-        total += math.comb(spec.w_s, w) * alpha1_bar**w * a0 ** (spec.w_s - w)
-    return total
+    return float(special.betainc(spec.w_s - spec.w + 1, spec.w, 1.0 - alpha1_bar))

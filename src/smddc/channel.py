@@ -5,8 +5,6 @@ slot.  Streams are derived from a (seed, stream_index) pair so that results
 are bit-identical for any degree of parallelism.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -31,19 +29,7 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
 
 
-@dataclass
-class SlotGains:
-    """One slot's channel power gains for the user under study.
-
-    `own` is the gain of the user's primary channel; `cross` holds the K-1
-    gains of the other channels (between this user and the base station).
-    """
-
-    own: float
-    cross: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-def draw_exponential(stream: RngStream, mean: float, size=None):
+def draw_exponential(stream: RngStream, mean: float, size):
     """Draw Exp(mean) variates (density (1/mean) exp(-x/mean)).
 
     Zero draws are a measure-zero artifact of the underlying uniform
@@ -52,40 +38,9 @@ def draw_exponential(stream: RngStream, mean: float, size=None):
     if mean <= 0:
         raise ValueError(f"mean must be positive, got {mean}")
     gen = stream.generator
-    if size is None:
-        x = gen.exponential(mean)
-        while x == 0.0:
-            x = gen.exponential(mean)
-        return x
     out = gen.exponential(mean, size)
     mask = out == 0.0
     while mask.any():
         out[mask] = gen.exponential(mean, int(mask.sum()))
         mask = out == 0.0
     return out
-
-
-def draw_slot_gains(stream: RngStream, k_channels: int, symmetric: bool = True) -> SlotGains:
-    """Draw one slot of gains for the user under study: own plus K-1 cross gains.
-
-    All gains are Exp(1).  The far users' own-channel gains are not drawn:
-    the near user's session error does not depend on them (in the symmetric
-    system all users are statistically identical; in the asymmetric system
-    the far users behave exactly as in OMA).  The `symmetric` flag is kept
-    for interface clarity only.
-    """
-    if k_channels < 1:
-        raise ValueError(f"k_channels must be at least 1, got {k_channels}")
-    own = draw_exponential(stream, 1.0)
-    if k_channels == 1:
-        return SlotGains(own=own)
-    cross = draw_exponential(stream, 1.0, size=k_channels - 1)
-    return SlotGains(own=own, cross=cross)
-
-
-def sorted_descending(gains):
-    """Return the gains sorted largest-first (order statistics g_(1) >= g_(2) >= ...)."""
-    arr = np.asarray(gains, dtype=float)
-    if arr.size == 0:
-        raise ValueError("gains must be non-empty")
-    return np.sort(arr)[::-1]

@@ -12,14 +12,13 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import analytic
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import sinr_at_level
 from .simulator import estimate_alphas, estimate_session_error
-
-_POLICY_NAMES = ("oma", "sym", "sdo", "fo")
 
 
 def _parse_policy(name: str, depth: int) -> PolicyKind:
@@ -69,8 +68,6 @@ def _build_config(args) -> SystemConfig:
         n0=args.n0,
         k=args.k,
         depth=args.depth,
-        sigma2=args.sigma2,
-        omega_far=args.omega_far,
         w=args.w,
         w_s=args.ws,
         policy=policy,
@@ -191,9 +188,19 @@ def _apply_axis(config: SystemConfig, policy: PolicyKind, axis: str, value):
         kw["k"] = max(config.k, int(value))
     else:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    from dataclasses import replace
-
     return replace(config, **kw)
+
+
+_SWEEP_RESULT_KEYS = (
+    "p_hat",
+    "ci95_halfwidth",
+    "mean_packets",
+    "chernoff_bound",
+    "chernoff_feasible",
+    "exact_p_se",
+    "eta",
+    "error",
+)
 
 
 def cmd_sweep(config: SystemConfig, args, out) -> int:
@@ -208,38 +215,18 @@ def cmd_sweep(config: SystemConfig, args, out) -> int:
                 {k: v for k, v in _config_fields(config).items() if k not in ("policy", "depth")}
             )
             row["depth"] = policy.depth
+            row[args.axis] = value
+            row.update(dict.fromkeys(_SWEEP_RESULT_KEYS))
             try:
                 point = _apply_axis(config, policy, args.axis, value)
-                row[args.axis] = getattr(point, args.axis) if args.axis != "depth" else point.depth
                 stats = estimate_session_error(
                     policy, point, point.trials, seed=point.seed, workers=args.workers
                 )
                 record = _analytic_record(policy, point)
-                row.update(
-                    {
-                        "p_hat": stats.p_hat,
-                        "ci95_halfwidth": stats.ci95_halfwidth,
-                        "mean_packets": record["mean_packets"],
-                        "chernoff_bound": record["chernoff_bound"],
-                        "chernoff_feasible": record["chernoff_feasible"],
-                        "exact_p_se": record["exact_p_se"],
-                        "eta": record["eta"],
-                        "error": None,
-                    }
-                )
+                record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
+                row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
             except (ValueError, ArithmeticError) as exc:
-                row.update(
-                    {
-                        "p_hat": None,
-                        "ci95_halfwidth": None,
-                        "mean_packets": None,
-                        "chernoff_bound": None,
-                        "chernoff_feasible": None,
-                        "exact_p_se": None,
-                        "eta": None,
-                        "error": str(exc),
-                    }
-                )
+                row["error"] = str(exc)
             rows.append(row)
     elapsed = time.perf_counter() - t0
     print(f"sweep: {len(rows)} points in {elapsed:.2f} s", file=sys.stderr)
@@ -275,13 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--gamma", type=float, help="target SINR (linear)")
         p.add_argument("--gamma-db", type=float, help="target SINR in dB (overrides --gamma)")
-        p.add_argument("--omega", type=float, help="near-user power budget (linear)")
+        p.add_argument("--omega", type=float, help="power budget (linear)")
         p.add_argument("--omega-db", type=float, help="power budget in dB (overrides --omega)")
-        p.add_argument("--omega-far", type=float, default=None, help="far-user power budget")
         p.add_argument("--n0", type=float, default=1.0, help="noise power (default 1)")
         p.add_argument("--k", type=int, default=2, help="number of channels/users")
         p.add_argument("--depth", type=int, default=1, help="NOMA depth L (sym policy)")
-        p.add_argument("--sigma2", type=float, default=1.0, help="far-user mean channel gain")
         p.add_argument("--w", type=int, default=50, help="packets per stream")
         p.add_argument("--ws", type=int, default=55, help="slots per session")
         p.add_argument(
@@ -307,13 +292,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             # validated per point; the base config just needs a first policy
             base_policy = args.policy.split(",")[0].strip()
-            if base_policy not in _POLICY_NAMES:
-                raise ValueError(f"unknown policy {base_policy!r}")
             config_args = argparse.Namespace(**{**vars(args), "policy": base_policy})
             config = _build_config(config_args)
         else:
-            if args.policy not in _POLICY_NAMES:
-                raise ValueError(f"unknown policy {args.policy!r}")
             config = _build_config(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

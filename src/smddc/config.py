@@ -12,11 +12,10 @@ from .power_ladder import PowerLadder, build_ladder
 class SystemConfig:
     """All scenario parameters, in linear units (the CLI converts dB inputs).
 
-    gamma: per-level SINR target; omega: near-user power budget; n0: noise
+    gamma: per-level SINR target; omega: the user's power budget; n0: noise
     power; k: number of channels/users; depth: NOMA depth L (symmetric);
-    sigma2: far-user mean channel gain; omega_far: far-user budget (only
-    needed for far-user analytics, hence optional); w packets within w_s
-    slots; policy, trials, seed drive the experiment commands.
+    w packets within w_s slots; policy, trials, seed drive the experiment
+    commands.
     """
 
     gamma: float
@@ -24,8 +23,6 @@ class SystemConfig:
     n0: float = 1.0
     k: int = 2
     depth: int = 1
-    sigma2: float = 1.0
-    omega_far: float | None = None
     w: int = 50
     w_s: int = 55
     policy: PolicyKind = PolicyKind.oma()
@@ -33,10 +30,8 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.omega <= 0 or self.n0 <= 0 or self.sigma2 <= 0:
-            raise ValueError("gamma, omega, n0 and sigma2 must be positive")
-        if self.omega_far is not None and self.omega_far <= 0:
-            raise ValueError("omega_far must be positive when given")
+        if self.gamma <= 0 or self.omega <= 0 or self.n0 <= 0:
+            raise ValueError("gamma, omega and n0 must be positive")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if not 1 <= self.depth <= self.k:

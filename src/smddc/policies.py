@@ -4,16 +4,13 @@ Each policy maps the slot's channel gains and the user's power budget to the
 number of packets transmitted.  The budget test is inclusive (<= omega), and
 if the primary (level-1) packet is unaffordable nothing is transmitted.
 
-Scalar `decide_*` functions return a full SlotDecision; the `*_packet_counts`
-variants are vectorized over numpy arrays and are what the Monte Carlo
-simulator uses in its inner loop.
+The `*_packet_counts` kernels are vectorized over numpy arrays of slots and
+are the Monte Carlo simulator's inner loop.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .power_ladder import PowerLadder
 
 _VARIANTS = ("oma", "symmetric", "sdo", "fo")
 
@@ -66,90 +63,6 @@ class PolicyKind:
         if self.variant == "sdo":
             return 2
         return k_channels
-
-
-@dataclass(frozen=True)
-class SlotDecision:
-    n_packets: int
-    power_spent: float
-
-
-def decide_oma(own_gain: float, ladder: PowerLadder, omega: float) -> SlotDecision:
-    """Transmit one packet iff the level-1 target is affordable: rho_1/g <= omega."""
-    if own_gain <= 0 or omega <= 0:
-        raise ValueError("own_gain and omega must be positive")
-    cost = ladder.levels[0] / own_gain
-    if cost <= omega:
-        return SlotDecision(1, cost)
-    return SlotDecision(0, 0.0)
-
-
-def decide_symmetric(gains_by_level, ladder: PowerLadder, omega: float) -> SlotDecision:
-    """Fill levels 1..L in order while the cumulative power stays within budget.
-
-    gains_by_level[m-1] is the gain of the channel carrying the level-m packet.
-    """
-    gains = np.asarray(gains_by_level, dtype=float)
-    if gains.shape != (ladder.depth,):
-        raise ValueError(f"expected {ladder.depth} gains, got shape {gains.shape}")
-    if omega <= 0 or (gains <= 0).any():
-        raise ValueError("gains and omega must be positive")
-    spent = 0.0
-    n = 0
-    for rho, g in zip(ladder.levels, gains):
-        cost = rho / g
-        if spent + cost > omega:
-            break
-        spent += cost
-        n += 1
-    return SlotDecision(n, spent)
-
-
-def decide_sdo(own_gain: float, cross_gains, ladder: PowerLadder, omega: float) -> SlotDecision:
-    """Selection-diversity NOMA: at most one extra packet, on the best other channel.
-
-    The extra packet is only attempted when the primary one is affordable.
-    """
-    cross = np.asarray(cross_gains, dtype=float)
-    if cross.size == 0:
-        raise ValueError("cross_gains must be non-empty")
-    if ladder.depth < 2:
-        raise ValueError("SDO needs a ladder of depth >= 2")
-    if own_gain <= 0 or omega <= 0 or (cross <= 0).any():
-        raise ValueError("gains and omega must be positive")
-    c1 = ladder.levels[0] / own_gain
-    if c1 > omega:
-        return SlotDecision(0, 0.0)
-    c2 = ladder.levels[1] / cross.max()
-    if c1 + c2 <= omega:
-        return SlotDecision(2, c1 + c2)
-    return SlotDecision(1, c1)
-
-
-def decide_fo(own_gain: float, cross_gains, ladder: PowerLadder, omega: float) -> SlotDecision:
-    """Fully opportunistic NOMA: extra level-2 packets on other channels, best first."""
-    cross = np.asarray(cross_gains, dtype=float)
-    if cross.size == 0:
-        raise ValueError("cross_gains must be non-empty")
-    if ladder.depth < 2:
-        raise ValueError("FO needs a ladder of depth >= 2")
-    if own_gain <= 0 or omega <= 0 or (cross <= 0).any():
-        raise ValueError("gains and omega must be positive")
-    c1 = ladder.levels[0] / own_gain
-    if c1 > omega:
-        return SlotDecision(0, 0.0)
-    spent = c1
-    n = 1
-    for g in np.sort(cross)[::-1]:
-        cost = ladder.levels[1] / g
-        if spent + cost > omega:
-            break
-        spent += cost
-        n += 1
-    return SlotDecision(n, spent)
-
-
-# --- vectorized kernels (inner loop of the Monte Carlo simulator) ---------
 
 
 def oma_packet_counts(own, rho1, omega):

@@ -2,9 +2,11 @@
 
 Sessions are split into fixed-size batches; batch b always draws from the
 substream (seed, b), so estimates are bit-identical for any worker count.
-Every transmitted packet is decoded (power control meets the SINR target
-exactly and SIC is error-free under perfect CSI), so the per-slot success
-count is just the policy's packet count.
+A batch draws all its gains as one array and the vectorized policy kernels
+turn them into per-slot packet counts; a session fails when its counts sum
+to less than w over w_s slots.  Every transmitted packet is decoded (power
+control meets the SINR target exactly and SIC is error-free under perfect
+CSI), so the per-slot success count is just the policy's packet count.
 """
 
 import math
@@ -15,20 +17,11 @@ import numpy as np
 
 from . import policies
 from .analytic import PacketCountDistribution
-from .channel import RngStream, SlotGains, draw_exponential
+from .channel import RngStream, draw_exponential
 from .config import SystemConfig
-from .policies import PolicyKind, SlotDecision
+from .policies import PolicyKind
 
 DEFAULT_BATCH_SIZE = 50_000
-
-
-@dataclass(frozen=True)
-class SessionOutcome:
-    """Result of one simulated session."""
-
-    success: bool
-    slots_used: int  # first slot at which the stream completed, w_s if it never did
-    packets_sent: int
 
 
 @dataclass(frozen=True)
@@ -40,45 +33,6 @@ class SessionStats:
     p_hat: float
     ci95_halfwidth: float
     seed: int
-
-
-def _decision(policy, gains: SlotGains, ladder, omega) -> SlotDecision:
-    if callable(policy) and not isinstance(policy, PolicyKind):
-        return policy(gains, ladder, omega)
-    if policy.variant == "oma":
-        return policies.decide_oma(gains.own, ladder, omega)
-    if policy.variant == "symmetric":
-        level_gains = np.concatenate(([gains.own], gains.cross[: policy.depth - 1]))
-        return policies.decide_symmetric(level_gains, ladder, omega)
-    if policy.variant == "sdo":
-        return policies.decide_sdo(gains.own, gains.cross, ladder, omega)
-    return policies.decide_fo(gains.own, gains.cross, ladder, omega)
-
-
-def run_session(policy, config: SystemConfig, stream: RngStream) -> SessionOutcome:
-    """Simulate one session slot by slot, stopping once w packets have succeeded.
-
-    `policy` is a PolicyKind, or any callable (gains, ladder, omega) -> SlotDecision
-    for forcing degenerate behavior in tests.
-    """
-    ladder = config.ladder_for(policy if isinstance(policy, PolicyKind) else config.policy)
-    done = 0
-    sent = 0
-    for t in range(1, config.w_s + 1):
-        gains = _draw_gains_scalar(stream, config)
-        dec = _decision(policy, gains, ladder, config.omega)
-        done += dec.n_packets
-        sent += dec.n_packets
-        if done >= config.w:
-            return SessionOutcome(success=True, slots_used=t, packets_sent=sent)
-    return SessionOutcome(success=False, slots_used=config.w_s, packets_sent=sent)
-
-
-def _draw_gains_scalar(stream: RngStream, config: SystemConfig) -> SlotGains:
-    own = draw_exponential(stream, 1.0)
-    if config.k == 1:
-        return SlotGains(own=own)
-    return SlotGains(own=own, cross=draw_exponential(stream, 1.0, size=config.k - 1))
 
 
 def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape):
@@ -98,13 +52,10 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     return policies.fo_packet_counts(own, cross, ladder.levels[0], ladder.levels[1], omega)
 
 
-def _batch_errors(policy, config: SystemConfig, seed: int, batch_index: int, n_sessions: int) -> int:
-    stream = RngStream(seed, batch_index)
-    if callable(policy) and not isinstance(policy, PolicyKind):
-        return sum(
-            0 if run_session(policy, config, stream).success else 1 for _ in range(n_sessions)
-        )
-    counts = _slot_counts(policy, config, stream, (n_sessions, config.w_s))
+def _batch_errors(
+    policy: PolicyKind, config: SystemConfig, seed: int, batch_index: int, n_sessions: int
+) -> int:
+    counts = _slot_counts(policy, config, RngStream(seed, batch_index), (n_sessions, config.w_s))
     return int((counts.sum(axis=1) < config.w).sum())
 
 
@@ -114,7 +65,7 @@ def _batches(trials: int, batch_size: int):
 
 
 def estimate_session_error(
-    policy,
+    policy: PolicyKind,
     config: SystemConfig,
     trials: int,
     seed: int = 0,
@@ -141,7 +92,7 @@ def estimate_session_error(
 
 
 def estimate_alphas(
-    policy,
+    policy: PolicyKind,
     config: SystemConfig,
     trials: int,
     seed: int = 0,
@@ -154,18 +105,9 @@ def estimate_alphas(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    if callable(policy) and not isinstance(policy, PolicyKind):
-        ladder = config.ladder_for(config.policy)
-        counts = np.empty(trials, dtype=np.int64)
-        stream = RngStream(seed, 0)
-        for i in range(trials):
-            counts[i] = _decision(policy, _draw_gains_scalar(stream, config), ladder, config.omega).n_packets
-        max_n = int(counts.max())
-        freq = np.bincount(counts, minlength=max_n + 1)
-    else:
-        max_n = policy.max_packets(config.k)
-        freq = np.zeros(max_n + 1, dtype=np.int64)
-        for b, n in _batches(trials, batch_size):
-            counts = _slot_counts(policy, config, RngStream(seed, b), (n,))
-            freq += np.bincount(counts, minlength=max_n + 1)
+    max_n = policy.max_packets(config.k)
+    freq = np.zeros(max_n + 1, dtype=np.int64)
+    for b, n in _batches(trials, batch_size):
+        counts = _slot_counts(policy, config, RngStream(seed, b), (n,))
+        freq += np.bincount(counts, minlength=max_n + 1)
     return PacketCountDistribution(tuple(freq / trials))

@@ -10,7 +10,6 @@ from smddc import (
     alphas_from_betas,
     bessel_k1,
     beta1,
-    beta1_far,
     beta2_sdo,
     beta2_symmetric,
     chernoff_generic,
@@ -22,7 +21,7 @@ from smddc import (
     oma_session_error_binomial,
     x_k1,
 )
-from smddc.analytic import chernoff_objective
+from smddc.analytic import _log_objective
 
 
 def k1_quadrature(x):
@@ -129,12 +128,6 @@ def test_beta2_sdo_rejects_bad_k():
         beta2_sdo(4, 20, 20, 1)
     with pytest.raises(ValueError):
         beta2_sdo(4, 20, 20, 65)
-
-
-def test_beta1_far():
-    assert beta1_far(4, 1.0, 20.0) == pytest.approx(beta1(4, 20))
-    assert beta1_far(4, 1e15, 20.0) == pytest.approx(1.0)
-    assert beta1_far(4, 0.1, 100.0) == pytest.approx(math.exp(-0.4))
 
 
 # --- packet count distributions -------------------------------------------
@@ -294,7 +287,9 @@ def test_noma_factor_is_bound_ratio_at_minimizer():
     spec = SessionSpec(50, 55)
     nf = noma_factor(a0, a2)
     lam = -math.log(nf.z_star)
-    ratio = chernoff_objective(dist2, spec.kappa, lam) / chernoff_objective(dist1, spec.kappa, lam)
+    log2 = _log_objective(dist2.probs, spec.kappa, lam)
+    log1 = _log_objective(dist1.probs, spec.kappa, lam)
+    ratio = math.exp(log2 - log1)
     assert ratio == pytest.approx(nf.eta, abs=1e-12)
 
 
@@ -312,6 +307,16 @@ def test_exact_oma_matches_binomial():
     for a1 in (0.8, 0.9, 0.95, 0.99):
         dp = exact_session_error(alphas_from_betas([a1]), spec)
         assert dp == pytest.approx(oma_session_error_binomial(a1, spec), abs=1e-12)
+
+
+@pytest.mark.parametrize("w", [1000, 5000])
+def test_exact_oma_matches_binomial_long_streams(w):
+    # the binomial coefficients here exceed the float range; the tail must not
+    spec = SessionSpec(w, math.ceil(1.1 * w))
+    for a1 in (0.9, 0.92, 0.95):
+        dp = exact_session_error(alphas_from_betas([a1]), spec)
+        assert dp > 0.0
+        assert oma_session_error_binomial(a1, spec) == pytest.approx(dp, rel=1e-9)
 
 
 def test_exact_matches_monte_carlo():

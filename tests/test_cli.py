@@ -111,14 +111,27 @@ def test_sweep_range_syntax(capsys):
     assert values == [10.0, 15.0, 20.0]
 
 
+def test_sweep_error_row_shows_swept_value(capsys):
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--policy", "sdo",
+        "--axis", "k", "--values", "1,2", "--trials", "2000",
+    ]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    i_k, i_err = header.index("k"), header.index("error")
+    assert [r[i_k] for r in rows] == ["1", "2"]
+    assert [r[i_err] for r in rows] == ["sdo needs k >= 2", ""]
+
+
 def test_missing_budget_is_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--gamma", "4"])
     assert code == 2 and "error:" in err
 
 
 def test_invalid_policy_is_exit_2(capsys):
-    code, _, _ = run_cli(capsys, ["simulate", "--gamma", "4", "--omega", "20", "--policy", "nope"])
-    assert code == 2
+    code, _, err = run_cli(capsys, ["simulate", "--gamma", "4", "--omega", "20", "--policy", "nope"])
+    assert code == 2 and "unknown policy 'nope'" in err
 
 
 def test_invalid_config_is_exit_2(capsys):

@@ -1,12 +1,10 @@
 import math
 
-import numpy as np
 import pytest
 
 from smddc import (
     PolicyKind,
     RngStream,
-    SlotDecision,
     SystemConfig,
     alphas_from_betas,
     beta1,
@@ -15,43 +13,38 @@ from smddc import (
     estimate_session_error,
     exact_session_error,
     mean_packets,
-    run_session,
 )
+from smddc.simulator import _slot_counts
 
-
-def always_one(gains, ladder, omega):
-    return SlotDecision(1, 0.0)
-
-
-def never(gains, ladder, omega):
-    return SlotDecision(0, 0.0)
-
+ALL_POLICIES = (PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo())
 
 CFG = SystemConfig(gamma=4, omega=20, k=3, w=50, w_s=55, policy=PolicyKind.oma())
 
 
-def test_run_session_deterministic_pacing():
-    out = run_session(always_one, CFG, RngStream(0, 0))
-    assert out.success and out.slots_used == 50 and out.packets_sent == 50
-
-
-def test_run_session_forced_failure():
-    out = run_session(never, CFG, RngStream(0, 0))
-    assert not out.success and out.packets_sent == 0 and out.slots_used == 55
-
-
-def test_run_session_consistency():
-    out = run_session(PolicyKind.sdo(), CFG, RngStream(1, 0))
-    assert out.slots_used <= CFG.w_s
-    if out.success:
-        assert out.packets_sent >= CFG.w
-    else:
-        assert out.packets_sent < CFG.w
-
-
 def test_estimate_forced_failure():
-    stats = estimate_session_error(never, CFG, trials=1)
-    assert stats.p_hat == 1.0 and stats.errors == 1
+    # no gain can afford rho_1 / g <= 1e-300, so no slot carries a packet
+    cfg = SystemConfig(gamma=4, omega=1e-300, k=3, w=50, w_s=55)
+    for policy in ALL_POLICIES:
+        stats = estimate_session_error(policy, cfg, trials=100)
+        assert stats.p_hat == 1.0 and stats.errors == 100
+
+
+def test_slot_counts_forced_failure():
+    # the same starved budget, one session at a time: all w_s slots are
+    # drawn, none carries a packet, and the session misses its w packets
+    cfg = SystemConfig(gamma=4, omega=1e-300, k=3, w=50, w_s=55)
+    for policy in ALL_POLICIES:
+        counts = _slot_counts(policy, cfg, RngStream(0, 0), (1, cfg.w_s))
+        assert counts.shape == (1, cfg.w_s)
+        assert counts.sum() == 0 and counts.sum() < cfg.w
+
+
+def test_estimate_forced_success():
+    # an unlimited budget sends at least one packet per slot: w slots suffice
+    cfg = SystemConfig(gamma=4, omega=math.inf, k=3, w=50, w_s=50)
+    for policy in ALL_POLICIES:
+        stats = estimate_session_error(policy, cfg, trials=100)
+        assert stats.p_hat == 0.0 and stats.errors == 0
 
 
 def test_estimate_deterministic():
@@ -116,8 +109,8 @@ def test_estimate_alphas_mean_nondecreasing_in_depth():
 def test_packets_bounded_by_policy_cap():
     cfg = SystemConfig(gamma=2, omega=50, k=4, depth=3, w=50, w_s=55, policy=PolicyKind.symmetric(3))
     for policy in (PolicyKind.symmetric(3), PolicyKind.fo()):
-        out = run_session(policy, cfg, RngStream(5, 0))
-        assert out.packets_sent <= policy.max_packets(cfg.k) * cfg.w_s
+        counts = _slot_counts(policy, cfg, RngStream(5, 0), (1000, cfg.w_s))
+        assert counts.min() >= 0 and counts.max() <= policy.max_packets(cfg.k)
 
 
 def test_invalid_trials():
