@@ -44,3 +44,22 @@ def draw_exponential(stream: RngStream, mean: float, size):
         out[mask] = gen.exponential(mean, int(mask.sum()))
         mask = out == 0.0
     return out
+
+
+def descending_order_statistics(spacings):
+    """Turn an (m, ...) array of iid Exp(1) spacings into m descending Exp(1) order statistics.
+
+    Renyi's representation (David & Nagaraja, *Order Statistics*, sec. 2.5):
+    with E_1..E_m iid Exp(1), the partial sums sum_{j<=i} E_j / (m - j + 1)
+    are the ascending order statistics of m iid Exp(1) variates.  Works in
+    place along the leading axis and returns the reversed view, so [0] is
+    the maximum; no sort is needed.  The running sum is a loop over rows:
+    np.cumsum over a leading axis runs a strided inner loop and is several
+    times slower on large slabs.
+    """
+    m = len(spacings)
+    for j in range(m - 1):  # the last row is divided by 1
+        spacings[j] /= m - j
+    for j in range(1, m):
+        spacings[j] += spacings[j - 1]
+    return spacings[::-1]

@@ -219,10 +219,11 @@ def cmd_sweep(config: SystemConfig, args, out) -> int:
             row.update(dict.fromkeys(_SWEEP_RESULT_KEYS))
             try:
                 point = _apply_axis(config, policy, args.axis, value)
+                row["k"] = point.k
                 stats = estimate_session_error(
-                    policy, point, point.trials, seed=point.seed, workers=args.workers
+                    point.policy, point, point.trials, seed=point.seed, workers=args.workers
                 )
-                record = _analytic_record(policy, point)
+                record = _analytic_record(point.policy, point)
                 record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
                 row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
             except (ValueError, ArithmeticError) as exc:

@@ -34,8 +34,8 @@ class SystemConfig:
             raise ValueError("gamma, omega and n0 must be positive")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
-        if not 1 <= self.depth <= self.k:
-            raise ValueError(f"need 1 <= depth <= k, got depth={self.depth}, k={self.k}")
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
         if self.policy.variant in ("sdo", "fo") and self.k < 2:
             raise ValueError(f"{self.policy.variant} needs k >= 2")
         if self.w < 1 or self.w_s < self.w:

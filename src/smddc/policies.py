@@ -5,7 +5,11 @@ number of packets transmitted.  The budget test is inclusive (<= omega), and
 if the primary (level-1) packet is unaffordable nothing is transmitted.
 
 The `*_packet_counts` kernels are vectorized over numpy arrays of slots and
-are the Monte Carlo simulator's inner loop.
+are the Monte Carlo simulator's inner loop.  Multi-level gains come with the
+level on the last axis; each kernel loops over levels with running sums, so
+a caller that passes np.moveaxis(level_major, 0, -1) hands it one contiguous
+slab per level.  Counts come back in the narrowest unsigned integer dtype
+that holds the policy's per-slot cap.
 """
 
 from dataclasses import dataclass
@@ -67,33 +71,44 @@ class PolicyKind:
 
 def oma_packet_counts(own, rho1, omega):
     """Packet counts per slot for OMA; `own` is an array of own-channel gains."""
-    return (rho1 / np.asarray(own) <= omega).astype(np.int64)
+    return (rho1 / np.asarray(own) <= omega).astype(np.uint8)
 
 
 def symmetric_packet_counts(gains, rhos, omega):
-    """Packet counts for symmetric NOMA; gains has shape (..., L).
+    """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet.
 
     The cumulative cost over levels is increasing (costs are positive), so
-    the largest feasible prefix is just the number of prefix sums <= omega.
+    the largest feasible prefix is just the number of running sums <= omega.
     """
-    costs = np.asarray(rhos) / np.asarray(gains)
-    cum = np.cumsum(costs, axis=-1)
-    return (cum <= omega).sum(axis=-1)
+    gains = np.asarray(gains)
+    spent = np.zeros(gains.shape[:-1])
+    n = np.zeros(gains.shape[:-1], np.min_scalar_type(gains.shape[-1]))
+    for rho, g in zip(rhos, np.moveaxis(gains, -1, 0), strict=True):
+        spent += rho / g
+        n += spent <= omega
+    return n
 
 
-def sdo_packet_counts(own, cross, rho1, rho2, omega):
-    """Packet counts for SDO-NOMA; cross has shape (..., K-1)."""
+def sdo_packet_counts(own, best, rho1, rho2, omega):
+    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot.
+
+    The extra cost is positive, so the two-packet test implies the primary one.
+    """
     c1 = rho1 / np.asarray(own)
-    best = np.asarray(cross).max(axis=-1)
-    n = np.where(c1 + rho2 / best <= omega, 2, 1)
-    return np.where(c1 <= omega, n, 0)
+    n = (c1 <= omega).astype(np.uint8)
+    n += c1 + rho2 / np.asarray(best) <= omega
+    return n
 
 
-def fo_packet_counts(own, cross, rho1, rho2, omega):
-    """Packet counts for FO-NOMA; cross has shape (..., K-1)."""
-    c1 = rho1 / np.asarray(own)
-    # best gains first -> ascending extra costs -> feasible set is a prefix
-    extra = rho2 / np.sort(np.asarray(cross), axis=-1)[..., ::-1]
-    cum = c1[..., None] + np.cumsum(extra, axis=-1)
-    n = 1 + (cum <= omega).sum(axis=-1)
-    return np.where(c1 <= omega, n, 0)
+def fo_packet_counts(own, top, rho1, rho2, omega):
+    """Packet counts for FO-NOMA; top has shape (..., K-1), cross gains in descending order.
+
+    Best gains first -> ascending extra costs -> the feasible set is a prefix.
+    """
+    top = np.asarray(top)
+    spent = rho1 / np.asarray(own)
+    n = (spent <= omega).astype(np.min_scalar_type(top.shape[-1] + 1))
+    for g in np.moveaxis(top, -1, 0):
+        spent += rho2 / g
+        n += spent <= omega
+    return n

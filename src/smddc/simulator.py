@@ -2,11 +2,13 @@
 
 Sessions are split into fixed-size batches; batch b always draws from the
 substream (seed, b), so estimates are bit-identical for any worker count.
-A batch draws all its gains as one array and the vectorized policy kernels
-turn them into per-slot packet counts; a session fails when its counts sum
-to less than w over w_s slots.  Every transmitted packet is decoded (power
-control meets the SINR target exactly and SIC is error-free under perfect
-CSI), so the per-slot success count is just the policy's packet count.
+A batch draws all its gains as one level-major array, (levels, w_s,
+sessions), and the vectorized policy kernels turn them into per-slot packet
+counts of shape (w_s, sessions); a session fails when its counts, summed
+over the leading w_s axis, come to less than w.  Every transmitted packet
+is decoded (power control meets the SINR target exactly and SIC is
+error-free under perfect CSI), so the per-slot success count is just the
+policy's packet count.
 """
 
 import math
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import policies
 from .analytic import PacketCountDistribution
-from .channel import RngStream, draw_exponential
+from .channel import RngStream, descending_order_statistics, draw_exponential
 from .config import SystemConfig
 from .policies import PolicyKind
 
@@ -36,27 +38,34 @@ class SessionStats:
 
 
 def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape):
-    """Vectorized per-slot packet counts with the given leading shape."""
+    """Vectorized per-slot packet counts over an array of slots of the given shape.
+
+    Multi-level gains are drawn level-major, (levels,) + shape, and reach
+    the kernels as np.moveaxis(..., 0, -1) views, so each per-level step runs
+    over one contiguous slab.  SDO and FO share one draw of the descending
+    cross gains: SDO reads the best one, FO walks them all.
+    """
     ladder = config.ladder_for(policy)
-    omega = config.omega
-    if policy.variant == "oma":
-        own = draw_exponential(stream, 1.0, size=shape)
-        return policies.oma_packet_counts(own, ladder.levels[0], omega)
+    rho, omega = ladder.levels, config.omega
     if policy.variant == "symmetric":
-        gains = draw_exponential(stream, 1.0, size=shape + (policy.depth,))
-        return policies.symmetric_packet_counts(gains, np.asarray(ladder.levels), omega)
+        gains = draw_exponential(stream, 1.0, size=(policy.depth,) + shape)
+        return policies.symmetric_packet_counts(np.moveaxis(gains, 0, -1), rho, omega)
     own = draw_exponential(stream, 1.0, size=shape)
-    cross = draw_exponential(stream, 1.0, size=shape + (config.k - 1,))
+    if policy.variant == "oma":
+        return policies.oma_packet_counts(own, rho[0], omega)
+    top = descending_order_statistics(draw_exponential(stream, 1.0, size=(config.k - 1,) + shape))
     if policy.variant == "sdo":
-        return policies.sdo_packet_counts(own, cross, ladder.levels[0], ladder.levels[1], omega)
-    return policies.fo_packet_counts(own, cross, ladder.levels[0], ladder.levels[1], omega)
+        return policies.sdo_packet_counts(own, top[0], rho[0], rho[1], omega)
+    return policies.fo_packet_counts(own, np.moveaxis(top, 0, -1), rho[0], rho[1], omega)
 
 
 def _batch_errors(
     policy: PolicyKind, config: SystemConfig, seed: int, batch_index: int, n_sessions: int
 ) -> int:
-    counts = _slot_counts(policy, config, RngStream(seed, batch_index), (n_sessions, config.w_s))
-    return int((counts.sum(axis=1) < config.w).sum())
+    counts = _slot_counts(policy, config, RngStream(seed, batch_index), (config.w_s, n_sessions))
+    max_total = config.w_s * policy.max_packets(config.k)
+    totals = counts.sum(axis=0, dtype=np.min_scalar_type(max_total))
+    return int(np.count_nonzero(totals < config.w))
 
 
 def _batches(trials: int, batch_size: int):

@@ -303,8 +303,11 @@ def test_criterion_10_sdo_vs_fo_over_users():
     p_sdo, p_fo = [], []
     for k in range(2, 9):
         c = cross[:, : k - 1]
-        for counts_fn, acc in ((sdo_packet_counts, p_sdo), (fo_packet_counts, p_fo)):
-            counts = counts_fn(own, c, rho1, rho2, omega).reshape(n, ws)
+        for counts_fn, gains, acc in (
+            (sdo_packet_counts, c.max(axis=-1), p_sdo),
+            (fo_packet_counts, -np.sort(-c, axis=-1), p_fo),
+        ):
+            counts = counts_fn(own, gains, rho1, rho2, omega).reshape(n, ws)
             acc.append(float((counts.sum(axis=1) < w).mean()))
     # shared gains: adding a user can only add packets, so the estimates are
     # nonincreasing in K pathwise, not just in expectation

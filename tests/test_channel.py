@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from smddc import RngStream, draw_exponential
+from smddc.channel import descending_order_statistics
 
 
 def test_determinism_same_stream():
@@ -63,3 +64,35 @@ def test_substream_independence():
     a = draw_exponential(RngStream(6, 0), 1.0, size=n)
     b = draw_exponential(RngStream(6, 1), 1.0, size=n)
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
+
+
+# Two-sample KS critical value at alpha = 0.001 per level (ten levels in all).
+KS_CRIT_0P1PCT = 1.949
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_order_statistics_match_sorted_draws(m):
+    n = 10**5
+    top = descending_order_statistics(draw_exponential(RngStream(7, m), 1.0, size=(m, n)))
+    ref = -np.sort(-draw_exponential(RngStream(8, m), 1.0, size=(n, m)), axis=-1)
+    for level in range(m):
+        d = stats.ks_2samp(top[level], ref[:, level]).statistic
+        assert d < KS_CRIT_0P1PCT * math.sqrt(2 / n), (level, d)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_order_statistics_top_level_cdf(m):
+    # the maximum of m iid Exp(1) has cdf (1 - e^-z)^m
+    n = 10**6
+    top = descending_order_statistics(draw_exponential(RngStream(9, m), 1.0, size=(m, n)))
+    p = (1 - math.exp(-1.0)) ** m
+    se = math.sqrt(p * (1 - p) / n)
+    assert abs((top[0] <= 1.0).mean() - p) < 3 * se
+
+
+def test_order_statistics_positive_descending_in_place():
+    spacings = draw_exponential(RngStream(10, 0), 1.0, size=(300, 1000))
+    top = descending_order_statistics(spacings)
+    assert np.shares_memory(top, spacings)
+    assert (top > 0).all()
+    assert (top[:-1] >= top[1:]).all()

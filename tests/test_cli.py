@@ -124,6 +124,33 @@ def test_sweep_error_row_shows_swept_value(capsys):
     assert [r[i_err] for r in rows] == ["sdo needs k >= 2", ""]
 
 
+def test_sweep_depth_runs_swept_depth(capsys):
+    # each row matches `simulate` at that depth; a depth above k runs at k = depth
+    common = ["--gamma", "4", "--omega", "20", "--policy", "sym", "--trials", "20000", "--seed", "5"]
+    argv = ["sweep", *common, "--k", "3", "--axis", "depth", "--values", "1,2,4"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    i_depth, i_k, i_p = header.index("depth"), header.index("k"), header.index("p_hat")
+    assert [(r[i_depth], r[i_k]) for r in rows] == [("1", "3"), ("2", "3"), ("4", "4")]
+    for row in rows:
+        _, sim, _ = run_cli(capsys, ["simulate", *common, "--k", row[i_k], "--depth", row[i_depth]])
+        sim_header, sim_row = (line.split(",") for line in sim.strip().splitlines())
+        assert row[i_p] == sim_row[sim_header.index("p_hat")]
+
+
+def test_sweep_depth_above_k_only_limits_sym(capsys):
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--depth", "3",
+        "--policy", "oma,sdo", "--axis", "k", "--values", "2", "--trials", "2000",
+    ]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    i_k, i_err = header.index("k"), header.index("error")
+    assert [(r[i_k], r[i_err]) for r in rows] == [("2", ""), ("2", "")]
+
+
 def test_missing_budget_is_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--gamma", "4"])
     assert code == 2 and "error:" in err

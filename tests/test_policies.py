@@ -154,8 +154,8 @@ def test_fo_equals_sdo_for_two_users():
     rng = np.random.default_rng(0)
     own = rng.exponential(1, 10**5)
     cross = rng.exponential(1, (10**5, 1))
-    n_sdo = sdo_packet_counts(own, cross, 4.0, 20.0, 20.0)
-    n_fo = fo_packet_counts(own, cross, 4.0, 20.0, 20.0)
+    n_sdo = sdo_packet_counts(own, cross.max(axis=-1), 4.0, 20.0, 20.0)
+    n_fo = fo_packet_counts(own, -np.sort(-cross, axis=-1), 4.0, 20.0, 20.0)
     assert np.array_equal(n_sdo, n_fo)
 
 
@@ -180,8 +180,8 @@ def test_scalar_matches_vectorized():
     gains4 = rng.exponential(1, (500, 4))
     n_oma = oma_packet_counts(own, LAD2.levels[0], 20.0)
     n_sym = symmetric_packet_counts(gains4, rhos, 20.0)
-    n_sdo = sdo_packet_counts(own, cross, LAD2.levels[0], LAD2.levels[1], 20.0)
-    n_fo = fo_packet_counts(own, cross, LAD2.levels[0], LAD2.levels[1], 20.0)
+    n_sdo = sdo_packet_counts(own, cross.max(axis=-1), LAD2.levels[0], LAD2.levels[1], 20.0)
+    n_fo = fo_packet_counts(own, -np.sort(-cross, axis=-1), LAD2.levels[0], LAD2.levels[1], 20.0)
     for i in range(500):
         assert n_oma[i] == decide_oma(own[i], LAD2, 20.0).n_packets
         assert n_sym[i] == decide_symmetric(gains4[i], lad4, 20.0).n_packets
@@ -222,7 +222,7 @@ def test_sdo_two_packet_rate_matches_beta2_sdo(k):
     cross = rng.exponential(1, (n, k - 1))
     p = beta2_sdo(4.0, 20.0, 20.0, k)
     se = math.sqrt(p * (1 - p) / n)
-    rate = (sdo_packet_counts(own, cross, 4.0, 20.0, 20.0) >= 2).mean()
+    rate = (sdo_packet_counts(own, cross.max(axis=-1), 4.0, 20.0, 20.0) >= 2).mean()
     assert abs(rate - p) < 3 * se
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from smddc import (
@@ -111,6 +112,27 @@ def test_packets_bounded_by_policy_cap():
     for policy in (PolicyKind.symmetric(3), PolicyKind.fo()):
         counts = _slot_counts(policy, cfg, RngStream(5, 0), (1000, cfg.w_s))
         assert counts.min() >= 0 and counts.max() <= policy.max_packets(cfg.k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_sdo_is_fo_capped_at_two(k):
+    # SDO and FO share one draw of the descending cross gains, and SDO's
+    # two-packet test is FO's first extra step, so they agree bit for bit
+    cfg = SystemConfig(gamma=4, omega=20, k=k, w=50, w_s=55)
+    sdo = _slot_counts(PolicyKind.sdo(), cfg, RngStream(11, k), (cfg.w_s, 2000))
+    fo = _slot_counts(PolicyKind.fo(), cfg, RngStream(11, k), (cfg.w_s, 2000))
+    assert np.array_equal(sdo, np.minimum(fo, 2))
+    assert (fo > sdo).any() == (k > 2)
+
+
+def test_fo_many_users_unlimited_budget():
+    # K = 300 packets per slot and w_s * K = 60,000 per session overflow
+    # 8-bit counts and 16-bit signed sums
+    cfg = SystemConfig(gamma=4, omega=math.inf, k=300, w=200, w_s=200)
+    counts = _slot_counts(PolicyKind.fo(), cfg, RngStream(12, 0), (cfg.w_s, 20))
+    assert (counts == cfg.k).all()
+    stats = estimate_session_error(PolicyKind.fo(), cfg, trials=50)
+    assert stats.errors == 0
 
 
 def test_invalid_trials():
