@@ -24,7 +24,7 @@ from .analytic import (
     x_k1,
 )
 from .channel import RngStream, draw_exponential
-from .config import SystemConfig, db_to_linear, linear_to_db
+from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import PowerLadder, build_ladder, closed_form_level, sinr_at_level
 from .simulator import SessionStats, estimate_alphas, estimate_session_error
@@ -54,7 +54,6 @@ __all__ = [
     "estimate_alphas",
     "estimate_session_error",
     "exact_session_error",
-    "linear_to_db",
     "mean_packets",
     "noma_factor",
     "oma_session_error_binomial",

@@ -46,20 +46,17 @@ def draw_exponential(stream: RngStream, mean: float, size):
     return out
 
 
-def descending_order_statistics(spacings):
-    """Turn an (m, ...) array of iid Exp(1) spacings into m descending Exp(1) order statistics.
+def gain_from_neg_log_cdf(a):
+    """The Exp(1) gain x at minus-log-CDF a = -log(1 - e^{-x}), for normal a < 709.
 
-    Renyi's representation (David & Nagaraja, *Order Statistics*, sec. 2.5):
-    with E_1..E_m iid Exp(1), the partial sums sum_{j<=i} E_j / (m - j + 1)
-    are the ascending order statistics of m iid Exp(1) variates.  Works in
-    place along the leading axis and returns the reversed view, so [0] is
-    the maximum; no sort is needed.  The running sum is a loop over rows:
-    np.cumsum over a leading axis runs a strided inner loop and is several
-    times slower on large slabs.
+    x = -log(1 - e^{-a}) is log1mexp (Maechler, "Accurately computing
+    log(1 - exp(-|a|))", 2012).  The plain -log(-expm1(-a)) loses digits as
+    a grows and returns 0 from a ~ 36.7 on; the identity
+    x = log1p(1 / expm1(a)) has no cancellation anywhere (each step keeps
+    its relative error) and needs no split, so it runs as three in-place
+    passes.
     """
-    m = len(spacings)
-    for j in range(m - 1):  # the last row is divided by 1
-        spacings[j] /= m - j
-    for j in range(1, m):
-        spacings[j] += spacings[j - 1]
-    return spacings[::-1]
+    x = np.expm1(a)
+    np.reciprocal(x, out=x)
+    np.log1p(x, out=x)
+    return x

@@ -1,6 +1,5 @@
 """Scenario configuration shared by the simulator, analytics, and CLI."""
 
-import math
 from dataclasses import dataclass
 
 from .analytic import SessionSpec
@@ -56,7 +55,3 @@ class SystemConfig:
 
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)

@@ -8,8 +8,10 @@ The `*_packet_counts` kernels are vectorized over numpy arrays of slots and
 are the Monte Carlo simulator's inner loop.  Multi-level gains come with the
 level on the last axis; each kernel loops over levels with running sums, so
 a caller that passes np.moveaxis(level_major, 0, -1) hands it one contiguous
-slab per level.  Counts come back in the narrowest unsigned integer dtype
-that holds the policy's per-slot cap.
+slab per level.  The symmetric and FO kernels can take their deeper levels
+from a callable instead, which draws each level only for the slots that
+are still within budget.  Counts come back in the narrowest unsigned
+integer dtype that holds the policy's per-slot cap.
 """
 
 from dataclasses import dataclass
@@ -74,19 +76,22 @@ def oma_packet_counts(own, rho1, omega):
     return (rho1 / np.asarray(own) <= omega).astype(np.uint8)
 
 
-def symmetric_packet_counts(gains, rhos, omega):
+def symmetric_packet_counts(gains, rhos, omega, deeper=None):
     """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet.
 
-    The cumulative cost over levels is increasing (costs are positive), so
-    the largest feasible prefix is just the number of running sums <= omega.
+    `gains` holds the first levels; the rest of `rhos`, if any, come from
+    `deeper` (see _deeper_levels).  The cumulative cost over levels is
+    increasing (costs are positive), so the largest feasible prefix is just
+    the number of running sums <= omega.
     """
     gains = np.asarray(gains)
+    dense = gains.shape[-1]
     spent = np.zeros(gains.shape[:-1])
-    n = np.zeros(gains.shape[:-1], np.min_scalar_type(gains.shape[-1]))
-    for rho, g in zip(rhos, np.moveaxis(gains, -1, 0), strict=True):
+    n = np.zeros(gains.shape[:-1], np.min_scalar_type(len(rhos)))
+    for rho, g in zip(rhos[:dense], np.moveaxis(gains, -1, 0), strict=True):
         spent += rho / g
         n += spent <= omega
-    return n
+    return _deeper_levels(n, spent, rhos[dense:], omega, deeper)
 
 
 def sdo_packet_counts(own, best, rho1, rho2, omega):
@@ -100,15 +105,44 @@ def sdo_packet_counts(own, best, rho1, rho2, omega):
     return n
 
 
-def fo_packet_counts(own, top, rho1, rho2, omega):
-    """Packet counts for FO-NOMA; top has shape (..., K-1), cross gains in descending order.
+def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None):
+    """Packet counts for FO-NOMA over the m cross gains of each slot (m defaults to top.shape[-1]).
 
-    Best gains first -> ascending extra costs -> the feasible set is a prefix.
+    top[..., j] holds the best of them in descending order; the rest come
+    from `deeper` (see _deeper_levels).  Best gains first -> ascending extra
+    costs -> the feasible set is a prefix.
     """
     top = np.asarray(top)
+    m = top.shape[-1] if m is None else m
     spent = rho1 / np.asarray(own)
-    n = (spent <= omega).astype(np.min_scalar_type(top.shape[-1] + 1))
+    n = (spent <= omega).astype(np.min_scalar_type(m + 1))
     for g in np.moveaxis(top, -1, 0):
         spent += rho2 / g
         n += spent <= omega
-    return n
+    return _deeper_levels(n, spent, (rho2,) * (m - top.shape[-1]), omega, deeper)
+
+
+def _deeper_levels(n, spent, rhos, omega, deeper):
+    """Add to the counts n the levels with costs `rhos`, each drawn only where every level before it fit.
+
+    `spent` is the running cost after the levels already counted.
+    `deeper(keep)` returns the next level's gains for the slots `keep`:
+    indices into the slots of its previous call, or into spent.ravel() on
+    its first.  Costs are positive, so a slot over budget stays over; the
+    loop ends when no slot is left.
+    """
+    if not len(rhos):
+        return n
+    if deeper is None:
+        raise ValueError(f"no gains for the last {len(rhos)} levels")
+    alive = np.flatnonzero(spent <= omega)
+    keep, spent = alive, spent.reshape(-1)[alive]
+    counts = n.ravel()
+    for rho in rhos:
+        if not alive.size:
+            break
+        spent += rho / deeper(keep)
+        keep = np.flatnonzero(spent <= omega)
+        alive, spent = alive[keep], spent[keep]
+        counts[alive] += 1
+    return counts.reshape(n.shape)

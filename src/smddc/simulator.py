@@ -2,10 +2,11 @@
 
 Sessions are split into fixed-size batches; batch b always draws from the
 substream (seed, b), so estimates are bit-identical for any worker count.
-A batch draws all its gains as one level-major array, (levels, w_s,
-sessions), and the vectorized policy kernels turn them into per-slot packet
-counts of shape (w_s, sessions); a session fails when its counts, summed
-over the leading w_s axis, come to less than w.  Every transmitted packet
+A batch draws its gains for slots of shape (w_s, sessions), one level at a
+time and each deeper level only for the slots still within budget, and the
+vectorized policy kernels turn them into per-slot packet counts of shape
+(w_s, sessions); a session fails when its counts, summed over the leading
+w_s axis, come to less than w.  Every transmitted packet
 is decoded (power control meets the SINR target exactly and SIC is
 error-free under perfect CSI), so the per-slot success count is just the
 policy's packet count.
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import policies
 from .analytic import PacketCountDistribution
-from .channel import RngStream, descending_order_statistics, draw_exponential
+from .channel import RngStream, draw_exponential, gain_from_neg_log_cdf
 from .config import SystemConfig
 from .policies import PolicyKind
 
@@ -37,26 +38,55 @@ class SessionStats:
     seed: int
 
 
+class DescendingCrossGains:
+    """The m = K-1 cross gains of each slot, drawn from the top down, level by level.
+
+    Exponential order statistics in CDF space (Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, ch. V): with E_j iid Exp(1), a_1 = E_1/m and
+    a_{j+1} = a_j + E_{j+1}/(m-j) are minus the logs of the CDF values of
+    the m gains in descending order, and the level-j gain is
+    gain_from_neg_log_cdf(a_j).  `best`, the top level, is drawn for every
+    slot of `shape`.  Each call draws the next level only for the slots
+    `keep` (indices into the slots of the previous level, flattened), so a
+    level depends only on the levels above it.
+    """
+
+    def __init__(self, stream: RngStream, m: int, shape):
+        self._stream, self._m, self._level = stream, m, 1
+        self._a = draw_exponential(stream, 1.0 / m, size=shape)
+        self.best = gain_from_neg_log_cdf(self._a)
+
+    def __call__(self, keep):
+        self._a = a = self._a.reshape(-1)[keep]  # the level above is not needed any more
+        a += draw_exponential(self._stream, 1.0 / (self._m - self._level), size=a.size)
+        self._level += 1
+        return gain_from_neg_log_cdf(a)
+
+
 def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape):
     """Vectorized per-slot packet counts over an array of slots of the given shape.
 
-    Multi-level gains are drawn level-major, (levels,) + shape, and reach
-    the kernels as np.moveaxis(..., 0, -1) views, so each per-level step runs
-    over one contiguous slab.  SDO and FO share one draw of the descending
-    cross gains: SDO reads the best one, FO walks them all.
+    Every slot draws its own gain and, for SDO and FO, its best cross gain;
+    symmetric NOMA draws its first two levels level-major, (levels,) +
+    shape.  Deeper levels (symmetric l >= 3, FO's further cross gains) are
+    drawn only for the slots that afforded every level before them.  SDO
+    and FO share the same draws, so SDO's count is FO's capped at 2.
     """
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
     if policy.variant == "symmetric":
-        gains = draw_exponential(stream, 1.0, size=(policy.depth,) + shape)
-        return policies.symmetric_packet_counts(np.moveaxis(gains, 0, -1), rho, omega)
+        gains = draw_exponential(stream, 1.0, size=(min(policy.depth, 2),) + shape)
+        return policies.symmetric_packet_counts(
+            np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size)
+        )
     own = draw_exponential(stream, 1.0, size=shape)
     if policy.variant == "oma":
         return policies.oma_packet_counts(own, rho[0], omega)
-    top = descending_order_statistics(draw_exponential(stream, 1.0, size=(config.k - 1,) + shape))
-    if policy.variant == "sdo":
-        return policies.sdo_packet_counts(own, top[0], rho[0], rho[1], omega)
-    return policies.fo_packet_counts(own, np.moveaxis(top, 0, -1), rho[0], rho[1], omega)
+    if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
+        best = DescendingCrossGains(stream, config.k - 1, shape).best
+        return policies.sdo_packet_counts(own, best, rho[0], rho[1], omega)
+    cross = DescendingCrossGains(stream, config.k - 1, shape)
+    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1)
 
 
 def _batch_errors(

@@ -1,11 +1,14 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
 from smddc import RngStream, draw_exponential
-from smddc.channel import descending_order_statistics
+from smddc.channel import gain_from_neg_log_cdf
+from smddc.simulator import DescendingCrossGains
 
 
 def test_determinism_same_stream():
@@ -66,6 +69,13 @@ def test_substream_independence():
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
 
+def all_levels(stream, m, n):
+    """All m descending cross gains of n slots, with no slot ever dropped."""
+    cross = DescendingCrossGains(stream, m, (n,))
+    every = np.arange(n)
+    return np.stack([cross.best] + [cross(every) for _ in range(m - 1)])
+
+
 # Two-sample KS critical value at alpha = 0.001 per level (ten levels in all).
 KS_CRIT_0P1PCT = 1.949
 
@@ -73,7 +83,7 @@ KS_CRIT_0P1PCT = 1.949
 @pytest.mark.parametrize("m", [1, 2, 7])
 def test_order_statistics_match_sorted_draws(m):
     n = 10**5
-    top = descending_order_statistics(draw_exponential(RngStream(7, m), 1.0, size=(m, n)))
+    top = all_levels(RngStream(7, m), m, n)
     ref = -np.sort(-draw_exponential(RngStream(8, m), 1.0, size=(n, m)), axis=-1)
     for level in range(m):
         d = stats.ks_2samp(top[level], ref[:, level]).statistic
@@ -84,15 +94,46 @@ def test_order_statistics_match_sorted_draws(m):
 def test_order_statistics_top_level_cdf(m):
     # the maximum of m iid Exp(1) has cdf (1 - e^-z)^m
     n = 10**6
-    top = descending_order_statistics(draw_exponential(RngStream(9, m), 1.0, size=(m, n)))
+    top = all_levels(RngStream(9, m), m, n)
     p = (1 - math.exp(-1.0)) ** m
     se = math.sqrt(p * (1 - p) / n)
     assert abs((top[0] <= 1.0).mean() - p) < 3 * se
 
 
-def test_order_statistics_positive_descending_in_place():
-    spacings = draw_exponential(RngStream(10, 0), 1.0, size=(300, 1000))
-    top = descending_order_statistics(spacings)
-    assert np.shares_memory(top, spacings)
+def test_order_statistics_positive_descending():
+    top = all_levels(RngStream(10, 0), 300, 1000)
     assert (top > 0).all()
     assert (top[:-1] >= top[1:]).all()
+
+
+def test_cross_gains_follow_kept_slots():
+    # a deeper level is drawn for the kept slots only, each below its own
+    # level above, whatever the shape of the first level
+    cross = DescendingCrossGains(RngStream(11, 0), 5, (4, 250))
+    best = cross.best.ravel()
+    keep = np.flatnonzero(best > 1.0)
+    second = cross(keep)
+    assert second.shape == keep.shape
+    assert (second <= best[keep]).all()
+    third = cross(np.arange(0, keep.size, 2))
+    assert (third <= second[::2]).all()
+
+
+def neg_log1mexp_50_digits(a):
+    """-log(1 - e^-a) at 50 digits; each branch is exact in its range at that precision."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        return -mpmath.log(-mpmath.expm1(-a)) if a < 1 else -mpmath.log1p(-mpmath.exp(-a))
+
+
+def test_gain_from_neg_log_cdf_numerics():
+    # -log(-expm1(-a)) returns exactly 0 from a ~ 36.7 on and loses digits
+    # well before; the gain must stay positive and accurate over the range
+    a = np.array([1e-300, 1e-20, 1e-8, 0.5, math.log(2), 1, 5, 10, 36, 40, 700])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = gain_from_neg_log_cdf(a)
+    assert np.isfinite(x).all() and (x > 0).all()
+    for ai, xi in zip(a, x):
+        ref = neg_log1mexp_50_digits(ai)
+        assert abs(xi - ref) <= 1e-12 * ref, (ai, xi, ref)

@@ -189,6 +189,43 @@ def test_scalar_matches_vectorized():
         assert n_fo[i] == decide_fo(own[i], cross[i], LAD2, 20.0).n_packets
 
 
+def lazy_feed(levels):
+    """A kernel's `deeper` callable that serves levels[..., 1], levels[..., 2], ... for the kept slots."""
+    rows = levels.reshape(-1, levels.shape[-1])
+    state = {"slots": np.arange(len(rows)), "level": 0}
+
+    def deeper(keep):
+        state["slots"] = state["slots"][keep]
+        state["level"] += 1
+        return rows[state["slots"], state["level"]]
+
+    return deeper
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_fo_lazy_levels_match_dense(m):
+    rng = np.random.default_rng(20 + m)
+    own = rng.exponential(1, (40, 500))
+    top = -np.sort(-rng.exponential(1, (40, 500, m)), axis=-1)
+    dense = fo_packet_counts(own, top, 1.0, 2.0, 20.0)
+    lazy = fo_packet_counts(own, top[..., :1], 1.0, 2.0, 20.0, lazy_feed(top), m)
+    assert dense.dtype == lazy.dtype and lazy.shape == own.shape
+    assert np.array_equal(dense, lazy)
+    assert (dense >= 3).any()
+
+
+def test_symmetric_lazy_levels_match_dense():
+    rng = np.random.default_rng(30)
+    gains = rng.exponential(1, (40, 500, 5))
+    rhos = np.asarray(build_ladder(1, 1, 5).levels)
+    dense = symmetric_packet_counts(gains, rhos, 50.0)
+    lazy = symmetric_packet_counts(gains[..., :2], rhos, 50.0, lazy_feed(gains[..., 1:]))
+    assert np.array_equal(dense, lazy)
+    assert (dense == 5).any()
+    with pytest.raises(ValueError):
+        symmetric_packet_counts(gains[..., :2], rhos, 50.0)
+
+
 def test_oma_rate_matches_beta1():
     from smddc import beta1
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +134,33 @@ def test_fo_many_users_unlimited_budget():
     assert (counts == cfg.k).all()
     stats = estimate_session_error(PolicyKind.fo(), cfg, trials=50)
     assert stats.errors == 0
+
+
+def test_symmetric_depths_nest():
+    # level l is drawn only where levels 1..l-1 fit, and rho_l does not
+    # depend on the depth, so a shallower ladder is a deeper one capped
+    cfg = SystemConfig(gamma=1, omega=30, k=6, w=50, w_s=55)
+    deep = _slot_counts(PolicyKind.symmetric(5), cfg, RngStream(13, 0), (cfg.w_s, 2000))
+    assert (deep >= 4).any()
+    for depth in range(1, 5):
+        shallow = _slot_counts(PolicyKind.symmetric(depth), cfg, RngStream(13, 0), (cfg.w_s, 2000))
+        assert np.array_equal(shallow, np.minimum(deep, depth)), depth
+    oma = _slot_counts(PolicyKind.oma(), cfg, RngStream(13, 0), (cfg.w_s, 2000))
+    assert np.array_equal(oma, np.minimum(deep, 1))
+
+
+def test_fo_alphas_memory_does_not_grow_with_users():
+    # no (K-1, batch) array of cross gains: the peak at K = 300 stays near K = 3's
+    def peak(k):
+        cfg = SystemConfig(gamma=4, omega=20, k=k, w=50, w_s=55)
+        tracemalloc.start()
+        try:
+            estimate_alphas(PolicyKind.fo(), cfg, trials=20_000, batch_size=10_000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(300) <= 2 * peak(3)
 
 
 def test_invalid_trials():
