@@ -27,7 +27,7 @@ from .channel import RngStream, draw_exponential
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import PowerLadder, build_ladder, closed_form_level, sinr_at_level
-from .simulator import SessionStats, estimate_alphas, estimate_session_error
+from .simulator import SessionStats, estimate_alphas, estimate_session_error, estimate_session_errors
 
 __all__ = [
     "ChernoffResult",
@@ -53,6 +53,7 @@ __all__ = [
     "draw_exponential",
     "estimate_alphas",
     "estimate_session_error",
+    "estimate_session_errors",
     "exact_session_error",
     "mean_packets",
     "noma_factor",

@@ -18,7 +18,7 @@ from . import analytic
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import sinr_at_level
-from .simulator import estimate_alphas, estimate_session_error
+from .simulator import estimate_alphas, estimate_session_error, estimate_session_errors
 
 
 def _parse_policy(name: str, depth: int) -> PolicyKind:
@@ -50,7 +50,10 @@ def _parse_values(text: str, as_int: bool):
         values = []
         v = start
         while v <= end + 1e-9:
-            values.append(conv(round(v, 12)))
+            value = round(v, 12)
+            if as_int and not value.is_integer():
+                raise ValueError(f"range value {value} is not an integer")
+            values.append(conv(value))
             v += step
         return values
     return [conv(p) for p in text.split(",")]
@@ -204,9 +207,11 @@ _SWEEP_RESULT_KEYS = (
 
 
 def cmd_sweep(config: SystemConfig, args, out) -> int:
+    """One row per value per policy; rows whose points differ only in policy share one draw."""
     policies = [_parse_policy(p.strip(), config.depth) for p in args.policy.split(",")]
     values = _parse_values(args.values, as_int=args.axis in ("w_s", "k", "depth"))
     rows = []
+    groups = {}  # point config with policy and depth normalised -> [(row, point)]
     t0 = time.perf_counter()
     for value in values:
         for policy in policies:
@@ -217,18 +222,29 @@ def cmd_sweep(config: SystemConfig, args, out) -> int:
             row["depth"] = policy.depth
             row[args.axis] = value
             row.update(dict.fromkeys(_SWEEP_RESULT_KEYS))
+            rows.append(row)
             try:
                 point = _apply_axis(config, policy, args.axis, value)
                 row["k"] = point.k
-                stats = estimate_session_error(
-                    point.policy, point, point.trials, seed=point.seed, workers=args.workers
-                )
-                record = _analytic_record(point.policy, point)
-                record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
-                row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
+                point.ladder_for(point.policy)
             except (ValueError, ArithmeticError) as exc:
                 row["error"] = str(exc)
-            rows.append(row)
+                continue
+            shared = replace(point, policy=PolicyKind.oma(), depth=1)
+            groups.setdefault(shared, []).append((row, point))
+    for shared, members in groups.items():
+        all_stats = estimate_session_errors(
+            [point.policy for _, point in members], shared, shared.trials,
+            seed=shared.seed, workers=args.workers,
+        )  # fmt: skip
+        for (row, point), stats in zip(members, all_stats, strict=True):
+            try:
+                record = _analytic_record(point.policy, point)
+            except (ValueError, ArithmeticError) as exc:
+                row["error"] = str(exc)
+                continue
+            record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
+            row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
     elapsed = time.perf_counter() - t0
     print(f"sweep: {len(rows)} points in {elapsed:.2f} s", file=sys.stderr)
     _emit(args, out, {"command": "sweep", "config": _config_fields(config), "rows": rows}, rows)

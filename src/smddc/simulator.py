@@ -9,7 +9,9 @@ vectorized policy kernels turn them into per-slot packet counts of shape
 w_s axis, come to less than w.  Every transmitted packet
 is decoded (power control meets the SINR target exactly and SIC is
 error-free under perfect CSI), so the per-slot success count is just the
-policy's packet count.
+policy's packet count.  Policies that nest slot by slot on one stream
+(OMA, SDO and FO; OMA and symmetric depths) share one draw per batch:
+each member's counts are its family's deepest member's, capped.
 """
 
 import math
@@ -89,18 +91,80 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1)
 
 
-def _batch_errors(
-    policy: PolicyKind, config: SystemConfig, seed: int, batch_index: int, n_sessions: int
-) -> int:
-    counts = _slot_counts(policy, config, RngStream(seed, batch_index), (config.w_s, n_sessions))
-    max_total = config.w_s * policy.max_packets(config.k)
-    totals = counts.sum(axis=0, dtype=np.min_scalar_type(max_total))
-    return int(np.count_nonzero(totals < config.w))
+def _families(policies, k: int):
+    """Split the policies into nested families, each as (driver, member indices).
+
+    On one stream, OMA == min(FO, 1), SDO == min(FO, 2) and sym L ==
+    min(sym L', L) for L <= L', slot by slot: the cross family (SDO, FO)
+    and the own family (symmetric) each need only the draw of their
+    deepest member, the driver.  OMA joins whichever family is present.
+    """
+    own = [i for i, p in enumerate(policies) if p.variant == "symmetric"]
+    cross = [i for i, p in enumerate(policies) if p.variant in ("sdo", "fo")]
+    oma = [i for i, p in enumerate(policies) if p.variant == "oma"]
+    if own:
+        own += oma
+    else:
+        cross += oma
+    return [
+        (max((policies[i] for i in members), key=lambda p: p.max_packets(k)), members)
+        for members in (cross, own)
+        if members
+    ]
+
+
+def _batch_errors(policies, config: SystemConfig, seed: int, batch_index: int, n_sessions: int):
+    """Session errors of each policy in one batch, one draw per nested family."""
+    errors = [0] * len(policies)
+    for driver, members in _families(policies, config.k):
+        counts = _slot_counts(driver, config, RngStream(seed, batch_index), (config.w_s, n_sessions))
+        for i in members:
+            cap = policies[i].max_packets(config.k)
+            capped = counts if cap >= driver.max_packets(config.k) else np.minimum(counts, cap)
+            totals = capped.sum(axis=0, dtype=np.min_scalar_type(config.w_s * cap))
+            errors[i] = int(np.count_nonzero(totals < config.w))
+    return errors
 
 
 def _batches(trials: int, batch_size: int):
     for b, start in enumerate(range(0, trials, batch_size)):
         yield b, min(batch_size, trials - start)
+
+
+def estimate_session_errors(
+    policies,
+    config: SystemConfig,
+    trials: int,
+    seed: int = 0,
+    workers: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> list[SessionStats]:
+    """Monte Carlo estimates of the session error probability, one per policy, in order.
+
+    Each batch draws once per nested family (see _families) from the
+    substream (seed, b), so every estimate equals that of a separate call
+    at the same seed.  Deterministic given (seed, trials, config,
+    batch_size) for any number of workers: batches map to fixed substreams
+    and the merge is a plain sum.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    policies = list(policies)
+    jobs = list(_batches(trials, batch_size))
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_batch_errors, policies, config, seed, b, n) for b, n in jobs]
+            per_batch = [f.result() for f in futures]
+    else:
+        per_batch = [_batch_errors(policies, config, seed, b, n) for b, n in jobs]
+    results = []
+    for errors in map(sum, zip(*per_batch)):
+        p_hat = errors / trials
+        ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+        results.append(SessionStats(trials=trials, errors=errors, p_hat=p_hat, ci95_halfwidth=ci, seed=seed))
+    return results
 
 
 def estimate_session_error(
@@ -111,23 +175,8 @@ def estimate_session_error(
     workers: int = 1,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SessionStats:
-    """Monte Carlo estimate of the session error probability.
-
-    Deterministic given (seed, trials, config, batch_size) for any number of
-    workers: batches map to fixed substreams and the merge is a plain sum.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    jobs = list(_batches(trials, batch_size))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_batch_errors, policy, config, seed, b, n) for b, n in jobs]
-            errors = sum(f.result() for f in futures)
-    else:
-        errors = sum(_batch_errors(policy, config, seed, b, n) for b, n in jobs)
-    p_hat = errors / trials
-    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-    return SessionStats(trials=trials, errors=errors, p_hat=p_hat, ci95_halfwidth=ci, seed=seed)
+    """Monte Carlo estimate of the session error probability of one policy."""
+    return estimate_session_errors([policy], config, trials, seed, workers, batch_size)[0]
 
 
 def estimate_alphas(

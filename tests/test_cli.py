@@ -151,6 +151,48 @@ def test_sweep_depth_above_k_only_limits_sym(capsys):
     assert [(r[i_k], r[i_err]) for r in rows] == [("2", ""), ("2", "")]
 
 
+def test_sweep_shared_draws_match_simulate(capsys):
+    # OMA, sym 2, SDO and FO at one point share two draws; each row must
+    # still equal its own `simulate`, and the invalid k=1 rows stay in place
+    common = ["--gamma", "4", "--omega", "15", "--depth", "2", "--trials", "20001", "--seed", "5"]
+    argv = ["sweep", *common, "--policy", "oma,sym,sdo,fo", "--axis", "k", "--values", "1,3"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    i_policy, i_k, i_p, i_err = (header.index(c) for c in ("policy", "k", "p_hat", "error"))
+    assert [(r[i_policy], r[i_k]) for r in rows] == [
+        (p, k) for k in ("1", "3") for p in ("oma", "sym", "sdo", "fo")
+    ]
+    assert [r[i_err] for r in rows[:4]] == [
+        "", "symmetric depth 2 exceeds k=1", "sdo needs k >= 2", "fo needs k >= 2",
+    ]
+    valid = [r for r in rows if r[i_err] == ""]
+    assert len(valid) == 5 and len({r[i_p] for r in valid}) == 4
+    for row in valid:
+        sim_argv = ["simulate", *common, "--policy", row[i_policy], "--k", row[i_k]]
+        _, sim, _ = run_cli(capsys, sim_argv)
+        sim_header, sim_row = (line.split(",") for line in sim.strip().splitlines())
+        assert row[i_p] == sim_row[sim_header.index("p_hat")]
+
+
+def test_sweep_integer_axis_rejects_fractional_range(capsys):
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
+        "--axis", "w_s", "--values", "50:2.5:56", "--trials", "2000",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and "52.5 is not an integer" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_exit_2(capsys, workers):
+    common = ["--gamma", "4", "--omega", "20", "--trials", "2000", "--workers", workers]
+    code, out, err = run_cli(capsys, ["simulate", *common])
+    assert code == 2 and out == "" and "workers must be at least 1" in err
+    code, out, err = run_cli(capsys, ["sweep", *common, "--axis", "w_s", "--values", "55"])
+    assert code == 2 and out == "" and "workers must be at least 1" in err
+
+
 def test_missing_budget_is_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--gamma", "4"])
     assert code == 2 and "error:" in err

@@ -13,6 +13,7 @@ from smddc import (
     beta2_symmetric,
     estimate_alphas,
     estimate_session_error,
+    estimate_session_errors,
     exact_session_error,
     mean_packets,
 )
@@ -168,3 +169,36 @@ def test_invalid_trials():
         estimate_session_error(PolicyKind.oma(), CFG, trials=0)
     with pytest.raises(ValueError):
         estimate_alphas(PolicyKind.oma(), CFG, trials=0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_invalid_workers(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        estimate_session_error(PolicyKind.oma(), CFG, trials=100, workers=workers)
+
+
+def _assert_joint_matches_separate(policies, cfg, seed):
+    # 45,001 sessions: four full batches and a one-session tail
+    kw = dict(trials=45_001, seed=seed, batch_size=10_000)
+    separate = [estimate_session_error(p, cfg, **kw) for p in policies]
+    assert len(set(s.errors for s in separate)) > 1  # the members are told apart
+    for workers in (1, 2):
+        assert estimate_session_errors(policies, cfg, workers=workers, **kw) == separate
+
+
+def test_joint_cross_family_matches_separate_calls():
+    cfg = SystemConfig(gamma=4, omega=10, k=8, w=50, w_s=60)
+    _assert_joint_matches_separate([PolicyKind.oma(), PolicyKind.sdo(), PolicyKind.fo()], cfg, seed=21)
+
+
+def test_joint_own_family_matches_separate_calls():
+    cfg = SystemConfig(gamma=0.5, omega=1.5, k=6, w=50, w_s=55)
+    policies = [PolicyKind.oma()] + [PolicyKind.symmetric(depth) for depth in range(1, 5)]
+    _assert_joint_matches_separate(policies, cfg, seed=22)
+
+
+def test_joint_two_families_match_separate_calls():
+    # the symmetric member must read the own family's draw, SDO and FO the cross one's
+    cfg = SystemConfig(gamma=4, omega=15, k=3, w=50, w_s=55)
+    policies = [PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo()]
+    _assert_joint_matches_separate(policies, cfg, seed=23)
