@@ -156,11 +156,6 @@ class SessionSpec:
         """Load ratio w / w_s, in (0, 1]."""
         return self.w / self.w_s
 
-    @property
-    def relative_delay(self) -> float:
-        """w_s / w, the session length relative to the stream size."""
-        return self.w_s / self.w
-
 
 @dataclass(frozen=True)
 class ChernoffResult:

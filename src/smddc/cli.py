@@ -12,29 +12,13 @@ import io
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import analytic
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import sinr_at_level
 from .simulator import estimate_alphas, estimate_session_error, estimate_session_errors
-
-
-def _parse_policy(name: str, depth: int) -> PolicyKind:
-    if name == "oma":
-        return PolicyKind.oma()
-    if name == "sym":
-        return PolicyKind.symmetric(depth)
-    if name == "sdo":
-        return PolicyKind.sdo()
-    if name == "fo":
-        return PolicyKind.fo()
-    raise ValueError(f"unknown policy {name!r}")
-
-
-def _policy_name(policy: PolicyKind) -> str:
-    return {"oma": "oma", "symmetric": "sym", "sdo": "sdo", "fo": "fo"}[policy.variant]
 
 
 def _parse_values(text: str, as_int: bool):
@@ -59,58 +43,48 @@ def _parse_values(text: str, as_int: bool):
     return [conv(p) for p in text.split(",")]
 
 
-def _build_config(args) -> SystemConfig:
+def _build_config(args) -> tuple[SystemConfig, list[PolicyKind]]:
+    """The scenario and the policies the flags name; a sweep checks each point's k itself."""
     gamma = db_to_linear(args.gamma_db) if args.gamma_db is not None else args.gamma
     omega = db_to_linear(args.omega_db) if args.omega_db is not None else args.omega
     if gamma is None or omega is None:
         raise ValueError("gamma and omega are required (linear or dB)")
-    policy = _parse_policy(args.policy, args.depth)
-    return SystemConfig(
-        gamma=gamma,
-        omega=omega,
-        n0=args.n0,
-        k=args.k,
-        depth=args.depth,
-        w=args.w,
-        w_s=args.ws,
-        policy=policy,
-        trials=args.trials,
-        seed=args.seed,
+    names = [name.strip() for name in args.policy.split(",")] if args.command == "sweep" else [args.policy]
+    policies = [PolicyKind.named(name, args.depth) for name in names]
+    config = SystemConfig(
+        gamma=gamma, omega=omega, n0=args.n0, k=args.k, depth=args.depth, w=args.w, w_s=args.ws
     )
+    if args.command != "sweep":
+        policies[0].check_users(config.k)
+    return config, policies
 
 
-def _config_fields(config: SystemConfig) -> dict:
-    return {
-        "gamma": config.gamma,
-        "omega": config.omega,
-        "n0": config.n0,
-        "k": config.k,
-        "depth": config.depth,
-        "w": config.w,
-        "w_s": config.w_s,
-        "policy": _policy_name(config.policy),
-        "trials": config.trials,
-        "seed": config.seed,
-    }
+def _config_fields(config: SystemConfig, args) -> dict:
+    return {**asdict(config), "policy": args.policy, "trials": args.trials, "seed": args.seed}
 
 
-def _analytic_record(policy: PolicyKind, config: SystemConfig) -> dict:
+def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed: int) -> dict:
     """All analytic quantities for one configuration.
 
-    Closed forms cover OMA, symmetric depth <= 2, and SDO; for symmetric
-    depth > 2 and FO the packet-count law is estimated by simulation and fed
-    to the generic Chernoff minimizer (no exact DP value is reported then,
-    since the law itself is an estimate).
+    Closed forms cover OMA, symmetric depth <= 2 (depth 1 is OMA), and SDO;
+    for symmetric depth > 2 and FO the packet-count law is estimated by
+    simulation from (trials, seed) and fed to the generic Chernoff
+    minimizer (no exact DP value is reported then, since the law itself is
+    an estimate).
     """
     ladder = config.ladder_for(policy)
     spec = config.session_spec()
     b1 = analytic.beta1(ladder.levels[0], config.omega)
     record = {"beta1": b1, "beta2": None, "exact_p_se": None, "eta": None, "z_star": None}
 
-    if policy.variant == "oma":
+    closed_form = policy.variant != "fo" and policy.depth <= 2
+    if not closed_form:
+        dist = estimate_alphas(policy, config, trials, seed=seed)
+        cb = analytic.chernoff_generic(dist, spec)
+    elif policy.depth == 1:
         dist = analytic.alphas_from_betas([b1])
         cb = analytic.chernoff_oma(b1, spec)
-    elif policy.variant == "sdo" or (policy.variant == "symmetric" and policy.depth == 2):
+    else:
         if policy.variant == "sdo":
             b2 = analytic.beta2_sdo(ladder.levels[0], ladder.levels[1], config.omega, config.k)
         else:
@@ -121,77 +95,60 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig) -> dict:
         nf = analytic.noma_factor(dist.probs[0], dist.probs[2])
         record["eta"] = nf.eta
         record["z_star"] = nf.z_star
-    else:
-        dist = estimate_alphas(policy, config, config.trials, seed=config.seed)
-        cb = analytic.chernoff_generic(dist, spec)
 
     record["alphas"] = list(dist.probs)
     record["mean_packets"] = analytic.mean_packets(dist)
     record["chernoff_bound"] = cb.bound
     record["chernoff_feasible"] = cb.feasible
     record["lambda_star"] = cb.lambda_star if cb.feasible else None
-    if policy.variant in ("oma", "sdo") or (policy.variant == "symmetric" and policy.depth <= 2):
+    if closed_form:
         record["exact_p_se"] = analytic.exact_session_error(dist, spec)
     return record
 
 
-def cmd_ladder(config: SystemConfig, args, out) -> int:
+def cmd_ladder(config: SystemConfig, policies, args, out) -> int:
     ladder = config.ladder_for(PolicyKind.symmetric(config.depth))
     rows = [
         {"level": l, "rho": rho, "sinr": sinr_at_level(ladder, l)}
         for l, rho in enumerate(ladder.levels, start=1)
     ]
-    _emit(args, out, {"command": "ladder", "config": _config_fields(config), "rows": rows}, rows)
+    _emit(args, out, {"command": "ladder", "config": _config_fields(config, args), "rows": rows}, rows)
     return 0
 
 
-def cmd_analytic(config: SystemConfig, args, out) -> int:
-    record = _analytic_record(config.policy, config)
-    payload = {"command": "analytic", "config": _config_fields(config), "record": record}
+def cmd_analytic(config: SystemConfig, policies, args, out) -> int:
+    record = _analytic_record(policies[0], config, args.trials, args.seed)
+    payload = {"command": "analytic", "config": _config_fields(config, args), "record": record}
     row = dict(record)
     row["alphas"] = ";".join(repr(a) for a in record["alphas"])
     _emit(args, out, payload, [row])
     return 0
 
 
-def cmd_simulate(config: SystemConfig, args, out) -> int:
+def cmd_simulate(config: SystemConfig, policies, args, out) -> int:
     t0 = time.perf_counter()
-    stats = estimate_session_error(
-        config.policy, config, config.trials, seed=config.seed, workers=args.workers
-    )
+    stats = estimate_session_error(policies[0], config, args.trials, seed=args.seed, workers=args.workers)
     elapsed = time.perf_counter() - t0
-    print(f"simulate: {config.trials} sessions in {elapsed:.2f} s", file=sys.stderr)
+    print(f"simulate: {args.trials} sessions in {elapsed:.2f} s", file=sys.stderr)
     row = {
-        "policy": _policy_name(config.policy),
+        "policy": policies[0].variant,
         "trials": stats.trials,
         "errors": stats.errors,
         "p_hat": stats.p_hat,
         "ci95_halfwidth": stats.ci95_halfwidth,
         "seed": stats.seed,
     }
-    _emit(args, out, {"command": "simulate", "config": _config_fields(config), "record": row}, [row])
+    _emit(args, out, {"command": "simulate", "config": _config_fields(config, args), "record": row}, [row])
     return 0
 
 
 def _apply_axis(config: SystemConfig, policy: PolicyKind, axis: str, value):
-    kw = {"policy": policy}
-    if axis == "omega":
-        kw["omega"] = float(value)
-    elif axis == "gamma":
-        kw["gamma"] = float(value)
-    elif axis == "w_s":
-        kw["w_s"] = int(value)
-    elif axis == "k":
-        kw["k"] = int(value)
-    elif axis == "depth":
-        if policy.variant != "symmetric":
-            raise ValueError("axis=depth requires the sym policy")
-        kw["depth"] = int(value)
-        kw["policy"] = PolicyKind.symmetric(int(value))
-        kw["k"] = max(config.k, int(value))
-    else:
-        raise ValueError(f"unknown sweep axis {axis!r}")
-    return replace(config, **kw)
+    """The (config, policy) of one sweep point; a depth above k raises k to the depth."""
+    if axis != "depth":
+        return replace(config, **{axis: value}), policy
+    if policy.variant != "sym":
+        raise ValueError("axis=depth requires the sym policy")
+    return replace(config, k=max(config.k, value)), PolicyKind.symmetric(value)
 
 
 _SWEEP_RESULT_KEYS = (
@@ -206,48 +163,40 @@ _SWEEP_RESULT_KEYS = (
 )
 
 
-def cmd_sweep(config: SystemConfig, args, out) -> int:
-    """One row per value per policy; rows whose points differ only in policy share one draw."""
-    policies = [_parse_policy(p.strip(), config.depth) for p in args.policy.split(",")]
+def cmd_sweep(config: SystemConfig, policies, args, out) -> int:
+    """One row per value per policy; the rows of one point config share one draw."""
+    if args.workers < 1:  # before any point's analytic record is computed
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     values = _parse_values(args.values, as_int=args.axis in ("w_s", "k", "depth"))
+    fields = {k: v for k, v in _config_fields(config, args).items() if k not in ("policy", "depth")}
     rows = []
-    groups = {}  # point config with policy and depth normalised -> [(row, point)]
+    groups = {}  # point config -> [(row, policy, analytic record)]
     t0 = time.perf_counter()
     for value in values:
         for policy in policies:
-            row = {"axis": args.axis, "value": value, "policy": _policy_name(policy)}
-            row.update(
-                {k: v for k, v in _config_fields(config).items() if k not in ("policy", "depth")}
-            )
+            row = {"axis": args.axis, "value": value, "policy": policy.variant, **fields}
             row["depth"] = policy.depth
             row[args.axis] = value
             row.update(dict.fromkeys(_SWEEP_RESULT_KEYS))
             rows.append(row)
             try:
-                point = _apply_axis(config, policy, args.axis, value)
+                point, point_policy = _apply_axis(config, policy, args.axis, value)
                 row["k"] = point.k
-                point.ladder_for(point.policy)
+                record = _analytic_record(point_policy, point, args.trials, args.seed)
             except (ValueError, ArithmeticError) as exc:
                 row["error"] = str(exc)
                 continue
-            shared = replace(point, policy=PolicyKind.oma(), depth=1)
-            groups.setdefault(shared, []).append((row, point))
-    for shared, members in groups.items():
+            groups.setdefault(point, []).append((row, point_policy, record))
+    for point, members in groups.items():
         all_stats = estimate_session_errors(
-            [point.policy for _, point in members], shared, shared.trials,
-            seed=shared.seed, workers=args.workers,
-        )  # fmt: skip
-        for (row, point), stats in zip(members, all_stats, strict=True):
-            try:
-                record = _analytic_record(point.policy, point)
-            except (ValueError, ArithmeticError) as exc:
-                row["error"] = str(exc)
-                continue
+            [policy for _, policy, _ in members], point, args.trials, seed=args.seed, workers=args.workers
+        )
+        for (row, _, record), stats in zip(members, all_stats, strict=True):
             record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
             row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
     elapsed = time.perf_counter() - t0
     print(f"sweep: {len(rows)} points in {elapsed:.2f} s", file=sys.stderr)
-    _emit(args, out, {"command": "sweep", "config": _config_fields(config), "rows": rows}, rows)
+    _emit(args, out, {"command": "sweep", "config": _config_fields(config, args), "rows": rows}, rows)
     return 0
 
 
@@ -305,18 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        if args.command == "sweep":
-            # validated per point; the base config just needs a first policy
-            base_policy = args.policy.split(",")[0].strip()
-            config_args = argparse.Namespace(**{**vars(args), "policy": base_policy})
-            config = _build_config(config_args)
-        else:
-            config = _build_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     handler = {
         "ladder": cmd_ladder,
         "analytic": cmd_analytic,
@@ -324,10 +261,13 @@ def main(argv=None) -> int:
         "sweep": cmd_sweep,
     }[args.command]
     try:
+        config, policies = _build_config(args)
+        if args.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {args.trials}")
         if args.out:
             with open(args.out, "w", newline="") as out:
-                return handler(config, args, out)
-        return handler(config, args, sys.stdout)
+                return handler(config, policies, args, out)
+        return handler(config, policies, args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

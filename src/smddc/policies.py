@@ -18,27 +18,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_VARIANTS = ("oma", "symmetric", "sdo", "fo")
+_FIXED_DEPTH = {"oma": 1, "sdo": 2, "fo": 2}  # "sym" takes its depth L from the caller
 
 
 @dataclass(frozen=True)
 class PolicyKind:
-    """Which per-slot decision rule to use.
+    """Which per-slot decision rule to use, named as on the command line.
 
-    variant: "oma", "symmetric" (depth-L power ladder on own channels),
-    "sdo" (one extra packet on the best other channel), or "fo" (extra
-    packets on as many other channels as the budget allows).
-    `depth` is only meaningful for the symmetric variant.
+    variant: "oma", "sym" (depth-L power ladder on own channels), "sdo"
+    (one extra packet on the best other channel), or "fo" (extra packets
+    on as many other channels as the budget allows).
+    depth: the number of power-ladder levels the policy uses, 1 for OMA,
+    L for sym and 2 for SDO and FO (whose extra packets all sit at level 2).
     """
 
     variant: str
     depth: int = 1
 
     def __post_init__(self):
-        if self.variant not in _VARIANTS:
-            raise ValueError(f"unknown policy variant {self.variant!r}")
+        if self.variant != "sym" and self.variant not in _FIXED_DEPTH:
+            raise ValueError(f"unknown policy {self.variant!r}")
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if self.depth != _FIXED_DEPTH.get(self.variant, self.depth):
+            raise ValueError(f"{self.variant} has depth {_FIXED_DEPTH[self.variant]}, got {self.depth}")
+
+    @classmethod
+    def named(cls, name: str, depth: int):
+        """The policy called `name`; `depth` is used by sym only, the others have a fixed depth."""
+        return cls(name, _FIXED_DEPTH.get(name, depth))
 
     @classmethod
     def oma(cls):
@@ -46,7 +54,7 @@ class PolicyKind:
 
     @classmethod
     def symmetric(cls, depth: int):
-        return cls("symmetric", depth)
+        return cls("sym", depth)
 
     @classmethod
     def sdo(cls):
@@ -56,19 +64,16 @@ class PolicyKind:
     def fo(cls):
         return cls("fo", 2)
 
-    def ladder_depth(self) -> int:
-        """Number of power-ladder levels the policy needs."""
-        return self.depth if self.variant == "symmetric" else (1 if self.variant == "oma" else 2)
+    def check_users(self, k: int):
+        """Raise ValueError unless the policy can run with k channels/users."""
+        if self.variant in ("sdo", "fo") and k < 2:
+            raise ValueError(f"{self.variant} needs k >= 2")
+        if self.variant == "sym" and self.depth > k:
+            raise ValueError(f"symmetric depth {self.depth} exceeds k={k}")
 
     def max_packets(self, k_channels: int) -> int:
-        """Per-slot packet cap: 1 for OMA, L for symmetric, 2 for SDO, K for FO."""
-        if self.variant == "oma":
-            return 1
-        if self.variant == "symmetric":
-            return self.depth
-        if self.variant == "sdo":
-            return 2
-        return k_channels
+        """Per-slot packet cap: the depth, except K for FO."""
+        return k_channels if self.variant == "fo" else self.depth
 
 
 def oma_packet_counts(own, rho1, omega):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 class PowerLadder:
     """Received-power targets rho_1..rho_L for a common SINR target.
 
-    All quantities are linear (not dB).  gamma is the per-level SINR target
-    after any margin has been applied, n0 the noise power.
+    All quantities are linear (not dB).  gamma is the per-level SINR
+    target, n0 the noise power.
     """
 
     gamma: float
@@ -25,29 +25,22 @@ class PowerLadder:
         return len(self.levels)
 
 
-def build_ladder(gamma: float, n0: float, depth: int, margin: float = 1.0) -> PowerLadder:
-    """Build the power ladder by the SINR recursion rho_l = g*(sum_{m<l} rho_m + n0).
-
-    `margin` multiplies the SINR target to guard against imprecise power
-    allocation; the default 1.0 applies no margin.
-    """
+def build_ladder(gamma: float, n0: float, depth: int) -> PowerLadder:
+    """Build the power ladder by the SINR recursion rho_l = gamma*(sum_{m<l} rho_m + n0)."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if n0 <= 0:
         raise ValueError(f"n0 must be positive, got {n0}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    if margin <= 0:
-        raise ValueError(f"margin must be positive, got {margin}")
 
-    g = gamma * margin
     levels = []
     interference = n0
     for _ in range(depth):
-        rho = g * interference
+        rho = gamma * interference
         levels.append(rho)
         interference += rho
-    return PowerLadder(gamma=g, n0=n0, levels=tuple(levels))
+    return PowerLadder(gamma=gamma, n0=n0, levels=tuple(levels))
 
 
 def sinr_at_level(ladder: PowerLadder, level: int) -> float:

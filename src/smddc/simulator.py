@@ -76,7 +76,7 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     """
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
-    if policy.variant == "symmetric":
+    if policy.variant == "sym":
         gains = draw_exponential(stream, 1.0, size=(min(policy.depth, 2),) + shape)
         return policies.symmetric_packet_counts(
             np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size)
@@ -99,7 +99,7 @@ def _families(policies, k: int):
     and the own family (symmetric) each need only the draw of their
     deepest member, the driver.  OMA joins whichever family is present.
     """
-    own = [i for i, p in enumerate(policies) if p.variant == "symmetric"]
+    own = [i for i, p in enumerate(policies) if p.variant == "sym"]
     cross = [i for i, p in enumerate(policies) if p.variant in ("sdo", "fo")]
     oma = [i for i, p in enumerate(policies) if p.variant == "oma"]
     if own:
@@ -145,13 +145,16 @@ def estimate_session_errors(
     substream (seed, b), so every estimate equals that of a separate call
     at the same seed.  Deterministic given (seed, trials, config,
     batch_size) for any number of workers: batches map to fixed substreams
-    and the merge is a plain sum.
+    and the merge is a plain sum.  Every policy is checked against
+    config.k before any batch runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     policies = list(policies)
+    for policy in policies:
+        policy.check_users(config.k)
     jobs = list(_batches(trials, batch_size))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -198,4 +201,4 @@ def estimate_alphas(
     for b, n in _batches(trials, batch_size):
         counts = _slot_counts(policy, config, RngStream(seed, b), (n,))
         freq += np.bincount(counts, minlength=max_n + 1)
-    return PacketCountDistribution(tuple(freq / trials))
+    return PacketCountDistribution(tuple((freq / trials).tolist()))

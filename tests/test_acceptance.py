@@ -279,10 +279,10 @@ def test_criterion_9_headline_operating_point():
     t0 = time.perf_counter()
     base = dict(gamma=4, omega=15.0, k=3, w=50)
     trials = 10**7
-    cfg50 = SystemConfig(w_s=50, policy=PolicyKind.sdo(), **base)
+    cfg50 = SystemConfig(w_s=50, **base)
     sdo50 = estimate_session_error(PolicyKind.sdo(), cfg50, trials=trials, seed=21, workers=4)
     oma50 = estimate_session_error(PolicyKind.oma(), cfg50, trials=trials, seed=22, workers=4)
-    cfg60 = SystemConfig(w_s=60, policy=PolicyKind.sdo(), **base)
+    cfg60 = SystemConfig(w_s=60, **base)
     sdo60 = estimate_session_error(PolicyKind.sdo(), cfg60, trials=trials, seed=23, workers=4)
     ok = 0.03 <= sdo50.p_hat <= 0.07 and oma50.p_hat >= 0.99 and sdo60.p_hat <= 1e-3
     report(

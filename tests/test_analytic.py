@@ -171,7 +171,6 @@ def test_distribution_validation():
 def test_session_spec():
     spec = SessionSpec(50, 55)
     assert spec.kappa == pytest.approx(50 / 55)
-    assert spec.relative_delay == pytest.approx(1.1)
     with pytest.raises(ValueError):
         SessionSpec(50, 40)
 

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from smddc import beta1, beta2_sdo
+import smddc.cli
+from smddc import beta1, beta2_sdo, estimate_session_errors
 from smddc.cli import main
 
 
@@ -214,3 +215,64 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["ladder", "--gamma", "1", "--omega", "5", "--out", str(path)])
     assert code == 0 and out == ""
     assert path.read_text().splitlines()[0] == "level,rho,sinr"
+
+
+def _csv_rows(out):
+    header, *rows = (line.split(",") for line in out.strip().splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_sweep_base_k_does_not_limit_swept_k(capsys):
+    # the base --k 1 is never a point of a k sweep, so SDO runs as in a mixed list
+    common = ["--gamma", "4", "--omega", "20", "--k", "1", "--axis", "k", "--values", "2,3", "--trials", "5000"]
+    code, alone, _ = run_cli(capsys, ["sweep", *common, "--policy", "sdo"])
+    assert code == 0
+    _, mixed, _ = run_cli(capsys, ["sweep", *common, "--policy", "oma,sdo"])
+    sdo_rows = [row for row in _csv_rows(mixed) if row["policy"] == "sdo"]
+    assert _csv_rows(alone) == sdo_rows and len(sdo_rows) == 2
+    assert all(row["error"] == "" for row in sdo_rows)
+
+
+def test_sweep_point_with_failing_record_is_not_simulated(capsys, monkeypatch):
+    simulated = []
+
+    def engine(policies, config, *args, **kwargs):
+        simulated.extend((p.variant, config.k) for p in policies)
+        return estimate_session_errors(policies, config, *args, **kwargs)
+
+    monkeypatch.setattr(smddc.cli, "estimate_session_errors", engine)
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--policy", "oma,sdo",
+        "--axis", "k", "--values", "3,65", "--trials", "2000",
+    ]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert [(row["policy"], row["k"], row["error"] != "") for row in _csv_rows(out)] == [
+        ("oma", "3", False), ("sdo", "3", False), ("oma", "65", False), ("sdo", "65", True),
+    ]
+    assert sorted(simulated) == [("oma", 3), ("oma", 65), ("sdo", 3)]
+
+
+def test_analytic_sym_depth_one_is_oma(capsys):
+    common = ["analytic", "--gamma", "4", "--omega", "20", "--trials", "20000", "--format", "json"]
+    _, sym, _ = run_cli(capsys, [*common, "--policy", "sym", "--depth", "1"])
+    _, oma, _ = run_cli(capsys, [*common, "--policy", "oma"])
+    assert json.loads(sym)["record"] == json.loads(oma)["record"]
+
+
+@pytest.mark.parametrize("policy", [["--policy", "fo", "--k", "3"], ["--policy", "sym", "--depth", "3", "--k", "3"]])
+def test_analytic_estimated_alphas_csv_are_floats(capsys, policy):
+    code, out, _ = run_cli(capsys, ["analytic", "--gamma", "4", "--omega", "20", "--trials", "20000", *policy])
+    assert code == 0
+    (row,) = _csv_rows(out)
+    alphas = [float(a) for a in row["alphas"].split(";")]
+    assert len(alphas) == 4 and sum(alphas) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command", ["ladder", "analytic", "simulate", "sweep"])
+def test_trials_below_one_is_exit_2(capsys, command):
+    argv = [command, "--gamma", "4", "--omega", "20", "--trials", "0"]
+    if command == "sweep":
+        argv += ["--axis", "w_s", "--values", "55"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err == "error: trials must be at least 1, got 0\n"

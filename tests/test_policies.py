@@ -113,6 +113,28 @@ def test_policy_kind_validation():
     assert PolicyKind.fo().max_packets(5) == 5
 
 
+def test_policy_kind_names_depths_and_user_check():
+    assert [p.variant for p in (PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo())] == [
+        "oma", "sym", "sdo", "fo",
+    ]
+    assert [PolicyKind.named(name, 3).depth for name in ("oma", "sym", "sdo", "fo")] == [1, 3, 2, 2]
+    assert PolicyKind.named("sdo", 5) == PolicyKind.sdo()
+    with pytest.raises(ValueError, match="unknown policy 'nope'"):
+        PolicyKind.named("nope", 1)
+    for variant, depth in (("oma", 2), ("sdo", 1), ("fo", 3)):
+        with pytest.raises(ValueError, match=f"{variant} has depth"):
+            PolicyKind(variant, depth)
+    PolicyKind.oma().check_users(1)
+    PolicyKind.symmetric(3).check_users(3)
+    for policy, k, message in (
+        (PolicyKind.sdo(), 1, "sdo needs k >= 2"),
+        (PolicyKind.fo(), 1, "fo needs k >= 2"),
+        (PolicyKind.symmetric(3), 2, "symmetric depth 3 exceeds k=2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            policy.check_users(k)
+
+
 def test_decide_oma():
     d = decide_oma(1.0, LAD2, 20.0)
     assert (d.n_packets, d.power_spent) == (1, 4.0)

@@ -56,12 +56,6 @@ def test_monotone_when_gamma_at_least_one():
     assert all(rho > 0 for rho in build_ladder(0.3, 1.0, 6).levels)
 
 
-def test_margin_scales_target():
-    lad = build_ladder(4, 1, 2, margin=1.5)
-    assert sinr_at_level(lad, 1) == pytest.approx(6.0)
-    assert sinr_at_level(lad, 2) == pytest.approx(6.0)
-
-
 @pytest.mark.parametrize("gamma,n0,depth", [(-1, 1, 3), (0, 1, 3), (4, 0, 3), (4, -2, 3), (4, 1, 0)])
 def test_invalid_parameters(gamma, n0, depth):
     with pytest.raises(ValueError):

@@ -17,11 +17,12 @@ from smddc import (
     exact_session_error,
     mean_packets,
 )
+from smddc import simulator
 from smddc.simulator import _slot_counts
 
 ALL_POLICIES = (PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo())
 
-CFG = SystemConfig(gamma=4, omega=20, k=3, w=50, w_s=55, policy=PolicyKind.oma())
+CFG = SystemConfig(gamma=4, omega=20, k=3, w=50, w_s=55)
 
 
 def test_estimate_forced_failure():
@@ -74,7 +75,7 @@ def test_oma_estimate_matches_exact():
 
 
 def test_symmetric_estimate_matches_exact():
-    cfg = SystemConfig(gamma=4, omega=20, k=2, depth=2, w=50, w_s=55, policy=PolicyKind.symmetric(2))
+    cfg = SystemConfig(gamma=4, omega=20, k=2, depth=2, w=50, w_s=55)
     b1, b2 = beta1(4.0, 20.0), beta2_symmetric(4.0, 20.0, 20.0)
     exact = exact_session_error(alphas_from_betas([b1, b2]), cfg.session_spec())
     stats = estimate_session_error(PolicyKind.symmetric(2), cfg, trials=200_000, seed=1)
@@ -83,13 +84,13 @@ def test_symmetric_estimate_matches_exact():
 
 
 def test_estimate_alphas_deterministic_policy():
-    cfg = SystemConfig(gamma=4, omega=math.inf, w=50, w_s=55, policy=PolicyKind.oma())
+    cfg = SystemConfig(gamma=4, omega=math.inf, w=50, w_s=55)
     dist = estimate_alphas(PolicyKind.oma(), cfg, trials=1000)
     assert dist.probs == (0.0, 1.0)
 
 
 def test_estimate_alphas_matches_beta2():
-    cfg = SystemConfig(gamma=4, omega=20, k=2, depth=2, w=50, w_s=55, policy=PolicyKind.symmetric(2))
+    cfg = SystemConfig(gamma=4, omega=20, k=2, depth=2, w=50, w_s=55)
     n = 400_000
     dist = estimate_alphas(PolicyKind.symmetric(2), cfg, trials=n, seed=2)
     p = beta2_symmetric(4.0, 20.0, 20.0)
@@ -101,7 +102,7 @@ def test_estimate_alphas_matches_beta2():
 def test_estimate_alphas_mean_nondecreasing_in_depth():
     means = []
     for L in range(1, 5):
-        cfg = SystemConfig(gamma=2, omega=20, k=6, depth=L, w=50, w_s=55, policy=PolicyKind.symmetric(L))
+        cfg = SystemConfig(gamma=2, omega=20, k=6, depth=L, w=50, w_s=55)
         dist = estimate_alphas(PolicyKind.symmetric(L), cfg, trials=200_000, seed=4)
         means.append(mean_packets(dist))
     # independent draws per depth: allow Monte Carlo slack on the comparison
@@ -110,7 +111,7 @@ def test_estimate_alphas_mean_nondecreasing_in_depth():
 
 
 def test_packets_bounded_by_policy_cap():
-    cfg = SystemConfig(gamma=2, omega=50, k=4, depth=3, w=50, w_s=55, policy=PolicyKind.symmetric(3))
+    cfg = SystemConfig(gamma=2, omega=50, k=4, depth=3, w=50, w_s=55)
     for policy in (PolicyKind.symmetric(3), PolicyKind.fo()):
         counts = _slot_counts(policy, cfg, RngStream(5, 0), (1000, cfg.w_s))
         assert counts.min() >= 0 and counts.max() <= policy.max_packets(cfg.k)
@@ -175,6 +176,23 @@ def test_invalid_trials():
 def test_invalid_workers(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
         estimate_session_error(PolicyKind.oma(), CFG, trials=100, workers=workers)
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.sdo(), PolicyKind.fo()], ids=["sdo", "fo"])
+def test_cross_policies_need_two_users(policy, monkeypatch):
+    # k = 1 leaves no cross channel: a ValueError before any draw, not a ZeroDivisionError
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+    cfg = SystemConfig(gamma=4, omega=20, k=1)
+    message = f"{policy.variant} needs k >= 2"
+    with pytest.raises(ValueError, match=message):
+        estimate_session_error(policy, cfg, trials=100)
+    with pytest.raises(ValueError, match=message):
+        estimate_session_errors([PolicyKind.oma(), policy], cfg, trials=100_000, workers=2)
+    with pytest.raises(ValueError, match=message):
+        estimate_alphas(policy, cfg, trials=100)
 
 
 def _assert_joint_matches_separate(policies, cfg, seed):
