@@ -1,9 +1,9 @@
 """Closed-form probabilities, Chernoff session-error bounds, and exact oracles.
 
 Per-slot multi-packet probabilities (beta/alpha), the closed-form Chernoff
-bounds for L=1 and L=2 with a generic numeric minimizer for any packet-count
-law, the NOMA factor, and an exact dynamic-programming evaluation of the
-session error probability Pr(sum_t V(t) < W).
+bounds for L=1 and L=2 with a generic root-finding minimizer for any
+packet-count law, the NOMA factor, and an exact dynamic-programming
+evaluation of the session error probability Pr(sum_t V(t) < W).
 """
 
 import math
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-_MAX_K_ALTERNATING = 64  # alternating-sum cancellation grows past this
 _LAMBDA_MAX = 700.0  # exp underflow limit for the Chernoff search
 
 
@@ -63,33 +62,35 @@ def beta2_symmetric(rho1: float, rho2: float, omega: float) -> float:
 def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
     """Probability of two packets under selection diversity over K-1 other channels.
 
-    Alternating binomial sum over the order-statistic expansion; coefficients
-    are taken in log space with sign tracking to limit cancellation.  Refuses
-    k_users > 64 where the alternating series becomes numerically unsafe.
+    The far packet rides the best of m = K-1 cross gains, with density
+    m e^{-y} (1 - e^{-y})^{m-1}; given y > y0 = rho2/omega, the own gain covers
+    the rest of the budget with probability exp(-rho1/omega - a/(y - y0)),
+    a = rho1*rho2/omega^2.  Adaptive Gauss-Kronrod quadrature (QUADPACK), to
+    1e-12 relative, integrates the product in u = log(y - y0), since the
+    second factor's rise, of width ~a, is decades below the density's scale
+    when the budget is large.
     """
     if rho1 <= 0 or rho2 <= 0 or omega <= 0:
         raise ValueError("rho1, rho2 and omega must be positive")
     if k_users < 2:
         raise ValueError(f"k_users must be at least 2, got {k_users}")
-    if k_users > _MAX_K_ALTERNATING:
-        raise ValueError(f"k_users > {_MAX_K_ALTERNATING} not supported (alternating-sum cancellation)")
-    km1 = k_users - 1
-    log_terms = []
-    signs = []
-    for m in range(1, km1 + 1):
-        x = 2.0 * math.sqrt(m * rho1 * rho2) / omega
-        xk1 = x_k1(x)
-        if xk1 <= 0.0:
-            continue
-        log_c = math.lgamma(km1 + 1) - math.lgamma(m + 1) - math.lgamma(km1 - m + 1)
-        log_terms.append(log_c - (rho1 + m * rho2) / omega + math.log(xk1))
-        signs.append(1.0 if m % 2 == 1 else -1.0)
-    if not log_terms:
-        return 0.0
-    peak = max(log_terms)
-    acc = sum(s * math.exp(t - peak) for s, t in zip(signs, log_terms))
-    val = math.exp(peak) * acc
-    return min(max(val, 0.0), 1.0)
+    from scipy import integrate  # imported on first use: ~0.1 s that a Monte Carlo run never needs
+
+    m = k_users - 1
+    y0 = rho2 / omega
+    a = rho1 * y0 / omega
+
+    def integrand(u):  # the integrand in y times dy/du, at y = y0 + e^u
+        if abs(u) > 700.0:  # e^u would overflow; the integrand there is below m*e^-700
+            return 0.0
+        s = math.exp(u)
+        y = y0 + s
+        # log(1 - e^{-y}) without cancellation at either end (Maechler's log1mexp)
+        log_cdf = math.log1p(-math.exp(-y)) if y > math.log(2.0) else math.log(-math.expm1(-y))
+        return m * math.exp((m - 1) * log_cdf - y - rho1 / omega - a / s + u)
+
+    value, _ = integrate.quad(integrand, -math.inf, math.inf, epsabs=0.0, epsrel=1e-12)
+    return min(max(value, 0.0), 1.0)
 
 
 # --- packet-count distributions -------------------------------------------
@@ -183,44 +184,33 @@ def _log_objective(probs, kappa, lam):
     return float(special.logsumexp(-lam * ms, b=probs) + kappa * lam)
 
 
-def _golden_min(f, lo, hi, xtol=1e-12):
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> ChernoffResult:
     """Numerically minimized Chernoff bound for an arbitrary packet-count law.
 
-    Minimizes the convex per-slot objective over lambda by a doubling
-    bracket plus golden-section search; works for any depth, including
-    the empirical distributions used when no closed form exists.
+    The per-slot log objective is convex in lambda with derivative
+    kappa - E_lambda[V], the mean of the law tilted by exp(-lambda*V), so
+    lambda* is that derivative's root on [0, _LAMBDA_MAX], found by Brent's
+    method; if the derivative is still negative at the cap, lambda* is the
+    cap.  Works for any depth, including the empirical distributions used
+    when no closed form exists.
     """
-    kappa = spec.kappa
-    if mean_packets(dist) <= kappa:
-        return _INFEASIBLE
-    probs = np.asarray(dist.probs)
-    f = lambda lam: _log_objective(probs, kappa, lam)
+    from scipy import optimize  # imported on first use, as in beta2_sdo
 
-    hi = 1.0
-    while hi < _LAMBDA_MAX and f(hi) < f(hi / 2.0):
-        hi *= 2.0
-    hi = min(hi, _LAMBDA_MAX)
-    lam_star = _golden_min(f, 0.0, hi)
-    log_bound = spec.w_s * f(lam_star)
+    kappa = spec.kappa
+    probs = np.asarray(dist.probs, dtype=float)
+    m0 = int(np.flatnonzero(probs > 0.0)[0])  # weights relative to e^{-lam*m0} cannot underflow
+    tail = probs[m0:]
+    steps = np.arange(len(tail))
+
+    def slope(lam):
+        weights = tail * np.exp(-lam * steps)
+        return kappa - m0 - float(steps @ weights) / float(weights.sum())
+
+    if slope(0.0) >= 0.0:  # E[V] <= kappa
+        return _INFEASIBLE
+    capped = slope(_LAMBDA_MAX) <= 0.0
+    lam_star = _LAMBDA_MAX if capped else optimize.brentq(slope, 0.0, _LAMBDA_MAX, xtol=1e-15)
+    log_bound = spec.w_s * _log_objective(probs, kappa, lam_star)
     return ChernoffResult(bound=min(math.exp(log_bound), 1.0), lambda_star=lam_star, feasible=True)
 
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, replace
@@ -29,16 +30,19 @@ def _parse_values(text: str, as_int: bool):
         if len(parts) != 3:
             raise ValueError(f"range must be start:step:end, got {text!r}")
         start, step, end = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (start, step, end)):
+            raise ValueError(f"range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
+        count = math.floor((end - start) / step + 1e-9) + 1
+        if count < 1:
+            raise ValueError(f"range {text!r} holds no value")
         values = []
-        v = start
-        while v <= end + 1e-9:
-            value = round(v, 12)
+        for i in range(count):
+            value = round(start + i * step, 12)
             if as_int and not value.is_integer():
                 raise ValueError(f"range value {value} is not an integer")
             values.append(conv(value))
-            v += step
         return values
     return [conv(p) for p in text.split(",")]
 

@@ -127,6 +127,8 @@ def _batch_errors(policies, config: SystemConfig, seed: int, batch_index: int, n
 
 
 def _batches(trials: int, batch_size: int):
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     for b, start in enumerate(range(0, trials, batch_size)):
         yield b, min(batch_size, trials - start)
 

@@ -11,7 +11,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from smddc import (
     PacketCountDistribution,
@@ -35,7 +35,6 @@ from smddc import (
     oma_session_error_binomial,
     sinr_at_level,
 )
-from smddc.analytic import _golden_min
 from smddc.cli import main as cli_main
 from smddc.policies import (
     fo_packet_counts,
@@ -335,7 +334,10 @@ def test_criterion_11_noma_factor():
         ratio = (a0 + a1 * zs + a2 * zs**2) / (a0 + (a1 + a2) * zs)
         i = int(np.argmin(ratio))
         lo, hi = zs[max(i - 1, 0)], zs[min(i + 1, len(zs) - 1)]
-        z = _golden_min(lambda z: (a0 + a1 * z + a2 * z * z) / (a0 + (a1 + a2) * z), lo, hi, 1e-14)
+        z = optimize.minimize_scalar(
+            lambda z: (a0 + a1 * z + a2 * z * z) / (a0 + (a1 + a2) * z),
+            bounds=(lo, hi), method="bounded", options={"xatol": 1e-14},
+        ).x
         numeric = (a0 + a1 * z + a2 * z * z) / (a0 + (a1 + a2) * z)
         worst = max(worst, abs(noma_factor(a0, a2).eta - numeric))
     ok = worst < 1e-9 and noma_factor(0.3, 0.0).eta == 1.0

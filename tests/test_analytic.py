@@ -1,7 +1,10 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.integrate import quad
 
 from smddc import (
@@ -126,8 +129,34 @@ def test_beta2_sdo_monotone_in_k():
 def test_beta2_sdo_rejects_bad_k():
     with pytest.raises(ValueError):
         beta2_sdo(4, 20, 20, 1)
-    with pytest.raises(ValueError):
-        beta2_sdo(4, 20, 20, 65)
+
+
+@functools.lru_cache(maxsize=None)
+def _alternating_sum_term(m, rho1, rho2, omega):
+    """exp(-(rho1 + m*rho2)/omega) x K1(x), x = 2 sqrt(m rho1 rho2)/omega, at 80 digits;
+    cached because one K1 at 80 digits can take a second and every K reuses the terms."""
+    with mpmath.workdps(80):
+        rho1, rho2, omega = mpmath.mpf(rho1), mpmath.mpf(rho2), mpmath.mpf(omega)
+        x = 2 * mpmath.sqrt(m * rho1 * rho2) / omega
+        return mpmath.exp(-(rho1 + m * rho2) / omega) * x * mpmath.besselk(1, x)
+
+
+def beta2_sdo_alternating_sum(rho1, rho2, omega, k_users):
+    """Independent oracle: the paper's alternating binomial sum
+    sum_m (-1)^(m+1) C(K-1, m) exp(-(rho1 + m*rho2)/omega) x_m K1(x_m)
+    at 80 digits, where its cancellation costs nothing."""
+    with mpmath.workdps(80):
+        total = mpmath.mpf(0)
+        for m in range(1, k_users):
+            term = mpmath.binomial(k_users - 1, m) * _alternating_sum_term(m, rho1, rho2, omega)
+            total += term if m % 2 else -term
+        return float(total)
+
+
+@pytest.mark.parametrize("omega", [5.0, 20.0, 80.0])
+@pytest.mark.parametrize("k", [2, 3, 8, 40, 52, 60, 64, 65, 120])
+def test_beta2_sdo_matches_high_precision_alternating_sum(omega, k):
+    assert beta2_sdo(4.0, 20.0, omega, k) == pytest.approx(beta2_sdo_alternating_sum(4.0, 20.0, omega, k), rel=1e-12)
 
 
 # --- packet count distributions -------------------------------------------
@@ -260,12 +289,13 @@ def test_noma_factor_matches_numeric_minimum():
         nf = noma_factor(a0, a2)
         zs = np.linspace(0, 1 - 1e-9, 20001)
         ratio = (a0 + a1 * zs + a2 * zs**2) / (a0 + (a1 + a2) * zs)
-        # refine around the grid minimum with a local golden search
+        # refine around the grid minimum with a bounded scalar minimizer
         i = int(np.argmin(ratio))
         lo, hi = zs[max(i - 1, 0)], zs[min(i + 1, len(zs) - 1)]
-        from smddc.analytic import _golden_min
-
-        z_best = _golden_min(lambda z: (a0 + a1 * z + a2 * z * z) / (a0 + (a1 + a2) * z), lo, hi, 1e-14)
+        z_best = optimize.minimize_scalar(
+            lambda z: (a0 + a1 * z + a2 * z * z) / (a0 + (a1 + a2) * z),
+            bounds=(lo, hi), method="bounded", options={"xatol": 1e-14},
+        ).x
         num = (a0 + a1 * z_best + a2 * z_best**2) / (a0 + (a1 + a2) * z_best)
         assert nf.eta == pytest.approx(num, abs=1e-9)
 

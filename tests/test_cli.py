@@ -185,6 +185,24 @@ def test_sweep_integer_axis_rejects_fractional_range(capsys):
     assert code == 2 and out == "" and "52.5 is not an integer" in err
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [("60:1:55", "range '60:1:55' holds no value"), ("50:1:inf", "range must be finite, got '50:1:inf'")],
+)
+def test_sweep_empty_or_unbounded_range_is_exit_2(capsys, values, message):
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
+        "--axis", "w_s", "--values", values, "--trials", "2000",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
+def test_sweep_range_values_do_not_drift():
+    # value i is start + i*step, not a running sum of steps
+    assert smddc.cli._parse_values("0:0.1:1000", False) == [i / 10 for i in range(10001)]
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_exit_2(capsys, workers):
     common = ["--gamma", "4", "--omega", "20", "--trials", "2000", "--workers", workers]
@@ -240,7 +258,13 @@ def test_sweep_point_with_failing_record_is_not_simulated(capsys, monkeypatch):
         simulated.extend((p.variant, config.k) for p in policies)
         return estimate_session_errors(policies, config, *args, **kwargs)
 
+    def beta2_sdo_failing_at_65(rho1, rho2, omega, k_users):
+        if k_users == 65:
+            raise ValueError("beta2_sdo fails at k=65")
+        return beta2_sdo(rho1, rho2, omega, k_users)
+
     monkeypatch.setattr(smddc.cli, "estimate_session_errors", engine)
+    monkeypatch.setattr(smddc.cli.analytic, "beta2_sdo", beta2_sdo_failing_at_65)
     argv = [
         "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--policy", "oma,sdo",
         "--axis", "k", "--values", "3,65", "--trials", "2000",
@@ -251,6 +275,14 @@ def test_sweep_point_with_failing_record_is_not_simulated(capsys, monkeypatch):
         ("oma", "3", False), ("sdo", "3", False), ("oma", "65", False), ("sdo", "65", True),
     ]
     assert sorted(simulated) == [("oma", 3), ("oma", 65), ("sdo", 3)]
+
+
+def test_analytic_sdo_beyond_64_users(capsys):
+    argv = ["analytic", "--gamma", "4", "--omega", "20", "--policy", "sdo", "--k", "65", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    beta2 = json.loads(out)["record"]["beta2"]
+    assert math.isfinite(beta2) and beta2 == pytest.approx(beta2_sdo(4.0, 20.0, 20.0, 65))
 
 
 def test_analytic_sym_depth_one_is_oma(capsys):

@@ -220,3 +220,10 @@ def test_joint_two_families_match_separate_calls():
     cfg = SystemConfig(gamma=4, omega=15, k=3, w=50, w_s=55)
     policies = [PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo()]
     _assert_joint_matches_separate(policies, cfg, seed=23)
+
+
+@pytest.mark.parametrize("batch_size", [-1, 0])
+@pytest.mark.parametrize("estimate", [estimate_session_error, estimate_alphas])
+def test_batch_size_below_one_is_rejected(estimate, batch_size):
+    with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
+        estimate(PolicyKind.sdo(), CFG, trials=100, batch_size=batch_size)
