@@ -185,72 +185,70 @@ def _log_objective(probs, kappa, lam):
 
 
 def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> ChernoffResult:
-    """Numerically minimized Chernoff bound for an arbitrary packet-count law.
+    """Numerically minimized Chernoff bound for any packet-count law, estimated ones included.
 
-    The per-slot log objective is convex in lambda with derivative
-    kappa - E_lambda[V], the mean of the law tilted by exp(-lambda*V), so
-    lambda* is that derivative's root on [0, _LAMBDA_MAX], found by Brent's
-    method; if the derivative is still negative at the cap, lambda* is the
-    cap.  Works for any depth, including the empirical distributions used
-    when no closed form exists.
+    lambda* is the root, by Brent's method on [0, _LAMBDA_MAX], of the convex log objective's
+    derivative kappa - E_lambda[V] (the mean of the law tilted by exp(-lambda*V)), or the cap if
+    the derivative is still negative there.  A law with Pr(V = 0) = 0 never fails a slot: the
+    objective sum_m p_m exp(-(m - kappa) lambda) falls, as lambda* -> inf, to Pr(V = 1) when
+    kappa = 1 and to 0 when kappa < 1.  The closed forms take this limit from here.
     """
     from scipy import optimize  # imported on first use, as in beta2_sdo
 
     kappa = spec.kappa
     probs = np.asarray(dist.probs, dtype=float)
-    m0 = int(np.flatnonzero(probs > 0.0)[0])  # weights relative to e^{-lam*m0} cannot underflow
-    tail = probs[m0:]
-    steps = np.arange(len(tail))
+    ms = np.arange(len(probs))
 
     def slope(lam):
-        weights = tail * np.exp(-lam * steps)
-        return kappa - m0 - float(steps @ weights) / float(weights.sum())
+        weights = probs * np.exp(-lam * ms)  # the m = 0 weight keeps the sum positive
+        return kappa - float(ms @ weights) / float(weights.sum())
 
     if slope(0.0) >= 0.0:  # E[V] <= kappa
         return _INFEASIBLE
+    if probs[0] <= 0.0:
+        bound = float(probs[1]) ** spec.w_s if spec.w == spec.w_s else 0.0
+        return ChernoffResult(bound=bound, lambda_star=math.inf, feasible=True)
     capped = slope(_LAMBDA_MAX) <= 0.0
     lam_star = _LAMBDA_MAX if capped else optimize.brentq(slope, 0.0, _LAMBDA_MAX, xtol=1e-15)
     log_bound = spec.w_s * _log_objective(probs, kappa, lam_star)
     return ChernoffResult(bound=min(math.exp(log_bound), 1.0), lambda_star=lam_star, feasible=True)
 
 
-def chernoff_oma(alpha1_bar: float, spec: SessionSpec) -> ChernoffResult:
-    """Closed-form Chernoff bound for OMA (per-slot success probability alpha1_bar)."""
-    if not 0.0 <= alpha1_bar <= 1.0:
-        raise ValueError(f"alpha1_bar must be in [0,1], got {alpha1_bar}")
-    kappa = spec.kappa
-    if alpha1_bar <= kappa:
-        return _INFEASIBLE
-    if alpha1_bar == 1.0:
-        return ChernoffResult(bound=0.0, lambda_star=math.inf, feasible=True)
-    alpha0 = 1.0 - alpha1_bar
-    lam_star = math.log((1.0 - kappa) * alpha1_bar / (kappa * alpha0))
-    log_per_slot = kappa * math.log(alpha1_bar / kappa)
-    if kappa < 1.0:
-        log_per_slot += (1.0 - kappa) * math.log(alpha0 / (1.0 - kappa))
-    return ChernoffResult(bound=math.exp(spec.w_s * log_per_slot), lambda_star=lam_star, feasible=True)
+def _chernoff_depth2(a0: float, a1: float, a2: float, spec: SessionSpec) -> ChernoffResult:
+    """Closed-form Chernoff bound for the law (a0, a1, a2) of V in {0, 1, 2}.
 
-
-def chernoff_noma2(dist: PacketCountDistribution, spec: SessionSpec) -> ChernoffResult:
-    """Closed-form Chernoff bound for depth-2 NOMA (V in {0,1,2}).
-
-    The minimizing z = exp(-lambda*) solves the quadratic stationarity
-    condition of the per-slot objective.  Degenerates to the OMA closed
-    form as the two-packet probability vanishes.
+    lambda* tilts the law to q_m ~ a_m exp(-lambda* m) with mean kappa, and the bound is exp(-w_s D),
+    D = sum over q_m > 0 of q_m log(q_m / a_m), the relative entropy (Dembo & Zeitouni, sec. 2.2).
+    q solves q1 + 2 q2 = kappa and q0 q2 / q1^2 = a0 a2 / a1^2, a quadratic whose roots are written
+    with no subtraction.  At a2 = 0, q = (1 - kappa, kappa) and D is the paper's OMA exponent.
     """
-    if dist.max_packets != 2:
-        raise ValueError(f"chernoff_noma2 needs a depth-2 distribution, got max {dist.max_packets}")
-    a0, a1, a2 = dist.probs
     kappa = spec.kappa
     if a1 + 2.0 * a2 <= kappa:
         return _INFEASIBLE
-    if a2 == 0.0:
-        return chernoff_oma(a1, spec)
-    disc = (1.0 - kappa) ** 2 * a1**2 + 4.0 * kappa * (2.0 - kappa) * a0 * a2
-    z = (math.sqrt(disc) - (1.0 - kappa) * a1) / (2.0 * (2.0 - kappa) * a2)
-    lam_star = -math.log(z)
-    per_slot = math.exp(kappa * lam_star) * (a0 + a1 * z + a2 * z * z)
-    return ChernoffResult(bound=min(per_slot, 1.0) ** spec.w_s, lambda_star=lam_star, feasible=True)
+    if a0 <= 0.0:  # no finite lambda*: chernoff_generic's limit
+        return chernoff_generic(PacketCountDistribution((a0, a1, a2)), spec)
+    slack = (spec.w_s - spec.w) / spec.w_s  # 1 - kappa, rounded once
+    cross = 4.0 * kappa * (1.0 + slack) * a0 * a2
+    root = math.sqrt((slack * a1) ** 2 + cross)  # of the quadratic's discriminant
+    q1 = kappa * (1.0 + slack) * a1 / (a1 + root)
+    q2 = kappa * cross / (2.0 * (a1 + root) * (root + slack * a1))
+    divergence = sum(q * math.log(q / a) for q, a in ((slack + q2, a0), (q1, a1), (q2, a2)) if q > 0.0)
+    bound = min(math.exp(-spec.w_s * divergence), 1.0)
+    return ChernoffResult(bound=bound, lambda_star=math.log((slack * a1 + root) / (2.0 * kappa * a0)), feasible=True)
+
+
+def chernoff_oma(alpha1_bar: float, spec: SessionSpec) -> ChernoffResult:
+    """Closed-form Chernoff bound for OMA (per-slot success probability alpha1_bar): the depth-2 form at a2 = 0."""
+    if not 0.0 <= alpha1_bar <= 1.0:
+        raise ValueError(f"alpha1_bar must be in [0,1], got {alpha1_bar}")
+    return _chernoff_depth2(1.0 - alpha1_bar, alpha1_bar, 0.0, spec)
+
+
+def chernoff_noma2(dist: PacketCountDistribution, spec: SessionSpec) -> ChernoffResult:
+    """Closed-form Chernoff bound for depth-2 NOMA (V in {0,1,2}); chernoff_oma's at a2 = 0."""
+    if dist.max_packets != 2:
+        raise ValueError(f"chernoff_noma2 needs a depth-2 distribution, got max {dist.max_packets}")
+    return _chernoff_depth2(*dist.probs, spec)
 
 
 # --- NOMA factor ----------------------------------------------------------

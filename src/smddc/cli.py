@@ -18,7 +18,7 @@ from dataclasses import asdict, replace
 from . import analytic
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
-from .power_ladder import sinr_at_level
+from .power_ladder import build_ladder, sinr_at_level
 from .simulator import estimate_alphas, estimate_session_error, estimate_session_errors
 
 
@@ -44,21 +44,24 @@ def _parse_values(text: str, as_int: bool):
                 raise ValueError(f"range value {value} is not an integer")
             values.append(conv(value))
         return values
-    return [conv(p) for p in text.split(",")]
+    values = [conv(p) for p in text.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"values must be finite, got {text!r}")
+    return values
 
 
 def _build_config(args) -> tuple[SystemConfig, list[PolicyKind]]:
-    """The scenario and the policies the flags name; a sweep checks each point's k itself."""
+    """The scenario and the policies the flags name; a sweep checks each point's k itself, a ladder uses no policy."""
     gamma = db_to_linear(args.gamma_db) if args.gamma_db is not None else args.gamma
     omega = db_to_linear(args.omega_db) if args.omega_db is not None else args.omega
     if gamma is None or omega is None:
         raise ValueError("gamma and omega are required (linear or dB)")
+    if not all(math.isfinite(x) for x in (gamma, omega, args.n0)):
+        raise ValueError("gamma, omega and n0 must be finite")
     names = [name.strip() for name in args.policy.split(",")] if args.command == "sweep" else [args.policy]
     policies = [PolicyKind.named(name, args.depth) for name in names]
-    config = SystemConfig(
-        gamma=gamma, omega=omega, n0=args.n0, k=args.k, depth=args.depth, w=args.w, w_s=args.ws
-    )
-    if args.command != "sweep":
+    config = SystemConfig(gamma=gamma, omega=omega, n0=args.n0, k=args.k, depth=args.depth, w=args.w, w_s=args.ws)
+    if args.command in ("analytic", "simulate"):
         policies[0].check_users(config.k)
     return config, policies
 
@@ -104,14 +107,14 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     record["mean_packets"] = analytic.mean_packets(dist)
     record["chernoff_bound"] = cb.bound
     record["chernoff_feasible"] = cb.feasible
-    record["lambda_star"] = cb.lambda_star if cb.feasible else None
+    record["lambda_star"] = cb.lambda_star if cb.feasible and math.isfinite(cb.lambda_star) else None
     if closed_form:
         record["exact_p_se"] = analytic.exact_session_error(dist, spec)
     return record
 
 
 def cmd_ladder(config: SystemConfig, policies, args, out) -> int:
-    ladder = config.ladder_for(PolicyKind.symmetric(config.depth))
+    ladder = build_ladder(config.gamma, config.n0, config.depth)
     rows = [
         {"level": l, "rho": rho, "sinr": sinr_at_level(ladder, l)}
         for l, rho in enumerate(ladder.levels, start=1)
@@ -206,7 +209,7 @@ def cmd_sweep(config: SystemConfig, policies, args, out) -> int:
 
 def _emit(args, out, json_payload: dict, csv_rows: list[dict]):
     if args.format == "json":
-        out.write(json.dumps(json_payload, indent=2, sort_keys=True))
+        out.write(json.dumps(json_payload, indent=2, sort_keys=True, allow_nan=False))
         out.write("\n")
         return
     buf = io.StringIO()
@@ -239,11 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--depth", type=int, default=1, help="NOMA depth L (sym policy)")
         p.add_argument("--w", type=int, default=50, help="packets per stream")
         p.add_argument("--ws", type=int, default=55, help="slots per session")
-        p.add_argument(
-            "--policy",
-            default="oma",
-            help="oma|sym|sdo|fo (sweep accepts a comma-separated list)",
-        )
+        p.add_argument("--policy", default="oma", help="oma|sym|sdo|fo (sweep accepts a comma-separated list)")
         p.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo sessions")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--workers", type=int, default=1, help="parallel workers")
@@ -272,7 +271,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", newline="") as out:
                 return handler(config, policies, args, out)
         return handler(config, policies, args, sys.stdout)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

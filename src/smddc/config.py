@@ -26,7 +26,7 @@ class SystemConfig:
     w_s: int = 55
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.omega <= 0 or self.n0 <= 0:
+        if not all(x > 0 for x in (self.gamma, self.omega, self.n0)):  # NaN fails too
             raise ValueError("gamma, omega and n0 must be positive")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")

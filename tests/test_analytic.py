@@ -8,6 +8,7 @@ from scipy import optimize
 from scipy.integrate import quad
 
 from smddc import (
+    ChernoffResult,
     PacketCountDistribution,
     SessionSpec,
     alphas_from_betas,
@@ -256,6 +257,74 @@ def test_chernoff_closed_forms_match_numeric():
         assert abs(closed1.lambda_star - numeric1.lambda_star) < 1e-6
         assert numeric1.bound == pytest.approx(closed1.bound, rel=1e-8)
         checked += 1
+
+
+def _oracle_oma(alpha1_bar, spec):
+    """The paper's OMA exponent at 60 digits: lambda* = log((1-kappa) a1 / (kappa a0)) and
+    bound = exp(-w_s [kappa log(kappa/a1) + (1-kappa) log((1-kappa)/a0)]), a0 = 1 - a1."""
+    with mpmath.workdps(60):
+        a1 = mpmath.mpf(alpha1_bar)
+        a0, kappa = 1 - a1, mpmath.mpf(spec.w) / spec.w_s
+        lam = mpmath.log((1 - kappa) * a1 / (kappa * a0))
+        exponent = kappa * mpmath.log(kappa / a1) + (1 - kappa) * mpmath.log((1 - kappa) / a0)
+        return mpmath.exp(-spec.w_s * exponent), lam
+
+
+def _oracle_depth2(probs, spec):
+    """The per-slot objective at the positive root z = exp(-lambda*) of its stationarity
+    condition (2-kappa) a2 z^2 + (1-kappa) a1 z - kappa a0 = 0, at 60 digits."""
+    with mpmath.workdps(60):
+        a0, a1, a2 = (mpmath.mpf(a) for a in probs)
+        kappa = mpmath.mpf(spec.w) / spec.w_s
+        roots = mpmath.polyroots([(2 - kappa) * a2, (1 - kappa) * a1, -kappa * a0], extraprec=200)
+        z = max(mpmath.re(r) for r in roots)
+        log_per_slot = -kappa * mpmath.log(z) + mpmath.log(a0 + a1 * z + a2 * z * z)
+        return mpmath.exp(spec.w_s * log_per_slot), -mpmath.log(z)
+
+
+def _session_specs():
+    for w_s in (55, 550, 5500):
+        for w in sorted({w_s // 2, int(0.9 * w_s), int(0.99 * w_s), w_s - 1, w_s}):
+            yield SessionSpec(w, w_s)
+
+
+def _assert_matches_oracle(result, oracle):
+    bound, lam = oracle
+    if bound >= mpmath.mpf("1e-290"):
+        assert abs(result.bound / bound - 1) <= 1e-11
+    assert abs(result.lambda_star - lam) <= 1e-14
+
+
+def test_closed_form_chernoff_matches_high_precision_oracle():
+    # a2 down to 1e-16, where a root that subtracts loses every digit of lambda*
+    for spec in _session_specs():
+        for alpha1_bar in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-12):
+            if alpha1_bar > spec.kappa:
+                _assert_matches_oracle(chernoff_oma(alpha1_bar, spec), _oracle_oma(alpha1_bar, spec))
+        for a2 in (1e-16, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+            for a0 in (1e-6, 0.01, 0.05, 0.2):
+                probs = (a0, 1.0 - a0 - a2, a2)
+                if probs[1] + 2 * a2 > spec.kappa:
+                    result = chernoff_noma2(PacketCountDistribution(probs), spec)
+                    _assert_matches_oracle(result, _oracle_depth2(probs, spec))
+
+
+@pytest.mark.parametrize("w_s", [55, 50])
+@pytest.mark.parametrize("probs", [(0.0, 0.6, 0.4), (0.0, 0.0, 1.0), (0.0, 1.0), (0.0, 0.3, 0.3, 0.4)])
+def test_laws_that_cannot_fail_agree(probs, w_s):
+    # Pr(V = 0) = 0: the infimum is the limit lambda -> inf, Pr(V = 1)^w_s at kappa = 1 and 0 below
+    spec = SessionSpec(50, w_s)
+    dist = PacketCountDistribution(probs)
+    if probs == (0.0, 1.0) and w_s == 50:  # E[V] == kappa
+        expected = ChernoffResult(bound=1.0, lambda_star=0.0, feasible=False)
+    else:
+        expected = ChernoffResult(bound=probs[1] ** 50 if w_s == 50 else 0.0, lambda_star=math.inf, feasible=True)
+    results = [chernoff_generic(dist, spec)]
+    if len(probs) == 2:
+        results.append(chernoff_oma(probs[1], spec))
+    if len(probs) == 3:
+        results.append(chernoff_noma2(dist, spec))
+    assert results == [expected] * len(results)
 
 
 def test_chernoff_generic_infeasible_mean():

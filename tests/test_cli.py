@@ -4,7 +4,7 @@ import math
 import pytest
 
 import smddc.cli
-from smddc import beta1, beta2_sdo, estimate_session_errors
+from smddc import PacketCountDistribution, SessionSpec, beta1, beta2_sdo, chernoff_generic, estimate_session_errors
 from smddc.cli import main
 
 
@@ -14,8 +14,10 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_ladder_csv(capsys):
-    code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "3", "--k", "3"])
+@pytest.mark.parametrize("k_flags", [["--k", "3"], []], ids=["k3", "no_k"])
+def test_ladder_csv(capsys, k_flags):
+    # a ladder depends on no policy, so the default k = 2 does not limit its depth
+    code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "3", *k_flags])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "level,rho,sinr"
@@ -308,3 +310,59 @@ def test_trials_below_one_is_exit_2(capsys, command):
         argv += ["--axis", "w_s", "--values", "55"]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and err == "error: trials must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("policy", [["--policy", "sym", "--depth", "2"], ["--policy", "sdo", "--k", "3"]])
+def test_analytic_vanishing_two_packet_probability(capsys, policy):
+    # beta2 ~ 1e-23 here: a quadratic root that subtracts raised "math domain error"
+    code, out, _ = run_cli(capsys, ["analytic", "--gamma-db", "30", "--omega-db", "43", "--format", "json", *policy])
+    assert code == 0
+    record = json.loads(out)["record"]
+    generic = chernoff_generic(PacketCountDistribution(tuple(record["alphas"])), SessionSpec(50, 55))
+    assert record["chernoff_bound"] == pytest.approx(generic.bound, rel=1e-12)
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [["--policy", "oma"], ["--policy", "sym", "--depth", "2"], ["--policy", "sdo"], ["--policy", "fo"]],
+)
+def test_analytic_json_is_strict_when_no_slot_fails(capsys, policy):
+    # at this budget Pr(V = 0) rounds to 0, so lambda* is infinite and must be written as null
+    argv = ["analytic", "--gamma", "4", "--omega", "1e18", "--k", "3", "--trials", "20000", "--format", "json"]
+    code, out, _ = run_cli(capsys, [*argv, *policy])
+    assert code == 0
+    record = json.loads(out, parse_constant=_reject_constant)["record"]
+    assert record["chernoff_feasible"] and record["lambda_star"] is None
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gamma", "inf", "--omega", "20"],
+        ["--gamma", "4", "--omega", "nan"],
+        ["--gamma", "4", "--omega", "20", "--n0", "inf"],
+        ["--gamma-db", "nan", "--omega", "20"],
+        ["--gamma", "4", "--omega-db", "inf"],
+    ],
+)
+def test_non_finite_input_is_exit_2(capsys, flags):
+    code, out, err = run_cli(capsys, ["simulate", *flags, "--trials", "100"])
+    assert code == 2 and out == "" and err == "error: gamma, omega and n0 must be finite\n"
+
+
+@pytest.mark.parametrize("values", ["nan,20", "20,inf"])
+def test_sweep_non_finite_value_is_exit_2(capsys, values):
+    argv = ["sweep", "--gamma", "4", "--omega", "20", "--axis", "omega", "--values", values, "--trials", "100"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err == f"error: values must be finite, got {values!r}\n"
+
+
+def test_out_into_missing_directory_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.csv"
+    argv = ["simulate", "--gamma", "4", "--omega", "20", "--trials", "100", "--out", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and str(path) in err

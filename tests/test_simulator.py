@@ -172,6 +172,12 @@ def test_invalid_trials():
         estimate_alphas(PolicyKind.oma(), CFG, trials=0)
 
 
+@pytest.mark.parametrize("field", ["gamma", "omega", "n0"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError, match="gamma, omega and n0 must be positive"):
+        SystemConfig(**{"gamma": 4.0, "omega": 20.0, "n0": 1.0, field: math.nan})
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_invalid_workers(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
