@@ -14,14 +14,20 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize("k_flags", [["--k", "3"], []], ids=["k3", "no_k"])
-def test_ladder_csv(capsys, k_flags):
-    # a ladder depends on no policy, so the default k = 2 does not limit its depth
-    code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "3", *k_flags])
+def test_ladder_csv(capsys):
+    code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "3", "--k", "3"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "level,rho,sinr"
     rhos = [float(line.split(",")[1]) for line in lines[1:]]
+    assert rhos == [4.0, 20.0, 100.0]
+
+
+def test_ladder_depth_not_limited_by_default_k(capsys):
+    # a ladder depends on no policy, so the default k = 2 does not limit its depth
+    code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "3"])
+    assert code == 0
+    rhos = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
     assert rhos == [4.0, 20.0, 100.0]
 
 
