@@ -10,7 +10,6 @@ from .analytic import (
     PacketCountDistribution,
     SessionSpec,
     alphas_from_betas,
-    bessel_k1,
     beta1,
     beta2_sdo,
     beta2_symmetric,
@@ -26,7 +25,7 @@ from .analytic import (
 from .channel import RngStream, draw_exponential
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
-from .power_ladder import PowerLadder, build_ladder, closed_form_level, sinr_at_level
+from .power_ladder import PowerLadder, build_ladder, sinr_at_level
 from .simulator import SessionStats, estimate_alphas, estimate_session_error, estimate_session_errors
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "SessionStats",
     "SystemConfig",
     "alphas_from_betas",
-    "bessel_k1",
     "beta1",
     "beta2_sdo",
     "beta2_symmetric",
@@ -48,7 +46,6 @@ __all__ = [
     "chernoff_generic",
     "chernoff_noma2",
     "chernoff_oma",
-    "closed_form_level",
     "db_to_linear",
     "draw_exponential",
     "estimate_alphas",

@@ -18,13 +18,6 @@ _LAMBDA_MAX = 700.0  # exp underflow limit for the Chernoff search
 # --- special function helpers ---------------------------------------------
 
 
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order 1."""
-    if x <= 0:
-        raise ValueError(f"bessel_k1 requires x > 0, got {x}")
-    return float(special.k1(x))
-
-
 def x_k1(x: float) -> float:
     """x * K1(x), continuous at x = 0 where the limit is 1.
 

@@ -16,37 +16,32 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
-        self.seed = seed
-        self.stream_index = stream_index
-        ss = np.random.SeedSequence((seed, stream_index))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._gen
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_index={self.stream_index})"
+        self.generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
 
 
-def draw_exponential(stream: RngStream, mean: float, size):
-    """Draw Exp(mean) variates (density (1/mean) exp(-x/mean)).
+def draw_exponential(stream: RngStream, mean: float, size=None, out=None):
+    """Draw Exp(mean) variates (density (1/mean) exp(-x/mean)) and return them.
 
-    Zero draws are a measure-zero artifact of the underlying uniform
-    generator and are rejected by resampling, so every gain is positive.
+    With `out`, a C-contiguous float64 array (of shape `size`, if given),
+    the variates are drawn into it and it is returned; they are the same
+    bits as stream.generator.exponential(mean, size) would give.  Zero draws
+    are a measure-zero artifact of the underlying uniform generator and are
+    rejected by resampling, so every gain is positive.
     """
     if mean <= 0:
         raise ValueError(f"mean must be positive, got {mean}")
     gen = stream.generator
-    out = gen.exponential(mean, size)
-    mask = out == 0.0
-    while mask.any():
-        out[mask] = gen.exponential(mean, int(mask.sum()))
-        mask = out == 0.0
+    out = gen.standard_exponential(size, out=out)
+    if mean != 1.0:
+        out *= mean
+    mask = None
+    while not out.all():
+        mask = np.equal(out, 0.0, out=mask)
+        out[mask] = gen.exponential(mean, np.count_nonzero(mask))
     return out
 
 
-def gain_from_neg_log_cdf(a):
+def gain_from_neg_log_cdf(a, out=None):
     """The Exp(1) gain x at minus-log-CDF a = -log(1 - e^{-x}), for normal a < 709.
 
     x = -log(1 - e^{-a}) is log1mexp (Maechler, "Accurately computing
@@ -54,9 +49,9 @@ def gain_from_neg_log_cdf(a):
     a grows and returns 0 from a ~ 36.7 on; the identity
     x = log1p(1 / expm1(a)) has no cancellation anywhere (each step keeps
     its relative error) and needs no split, so it runs as three in-place
-    passes.
+    passes, into `out` if given.
     """
-    x = np.expm1(a)
+    x = np.expm1(a, out=out)
     np.reciprocal(x, out=x)
     np.log1p(x, out=x)
     return x

@@ -1,5 +1,6 @@
 """Scenario configuration shared by the simulator, analytics, and CLI."""
 
+import math
 from dataclasses import dataclass
 
 from .analytic import SessionSpec
@@ -45,4 +46,7 @@ class SystemConfig:
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:  # beyond the double range; the CLI rejects the infinity
+        return math.inf

@@ -76,71 +76,95 @@ class PolicyKind:
         return k_channels if self.variant == "fo" else self.depth
 
 
-def oma_packet_counts(own, rho1, omega):
-    """Packet counts per slot for OMA; `own` is an array of own-channel gains."""
-    return (rho1 / np.asarray(own) <= omega).astype(np.uint8)
+def oma_packet_counts(own, rho1, omega, out=None):
+    """Packet counts per slot for OMA; `own` is an array of own-channel gains (see _owned for `out`)."""
+    own, out = _owned(out, np.shape(own), np.uint8, own)
+    return np.less_equal(np.divide(rho1, own, out=own), omega, out=out)
 
 
-def symmetric_packet_counts(gains, rhos, omega, deeper=None):
+def symmetric_packet_counts(gains, rhos, omega, deeper=None, out=None):
     """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet.
 
     `gains` holds the first levels; the rest of `rhos`, if any, come from
     `deeper` (see _deeper_levels).  The cumulative cost over levels is
     increasing (costs are positive), so the largest feasible prefix is just
-    the number of running sums <= omega.
+    the number of running sums <= omega (see _owned for `out`).
     """
-    gains = np.asarray(gains)
-    dense = gains.shape[-1]
-    spent = np.zeros(gains.shape[:-1])
-    n = np.zeros(gains.shape[:-1], np.min_scalar_type(len(rhos)))
-    for rho, g in zip(rhos[:dense], np.moveaxis(gains, -1, 0), strict=True):
-        spent += rho / g
-        n += spent <= omega
-    return _deeper_levels(n, spent, rhos[dense:], omega, deeper)
+    gains, out = _owned(out, np.shape(gains)[:-1], np.min_scalar_type(len(rhos)), gains)
+    levels = np.moveaxis(gains, -1, 0)
+    spent = np.divide(rhos[0], levels[0], out=levels[0])
+    n = fits = np.less_equal(spent, omega, out=out)
+    for rho, g in zip(rhos[1 : len(levels)], levels[1:], strict=True):
+        spent += np.divide(rho, g, out=g)
+        fits = np.less_equal(spent, omega, out=_as_mask(g))
+        n += fits
+    return _deeper_levels(n, spent, fits, rhos[len(levels) :], omega, deeper)
 
 
-def sdo_packet_counts(own, best, rho1, rho2, omega):
-    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot.
+def sdo_packet_counts(own, best, rho1, rho2, omega, out=None):
+    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot (see _owned for `out`).
 
     The extra cost is positive, so the two-packet test implies the primary one.
     """
-    c1 = rho1 / np.asarray(own)
-    n = (c1 <= omega).astype(np.uint8)
-    n += c1 + rho2 / np.asarray(best) <= omega
+    own, best, out = _owned(out, np.shape(own), np.uint8, own, best)
+    c1 = np.divide(rho1, own, out=own)
+    n = np.less_equal(c1, omega, out=out)
+    c12 = np.divide(rho2, best, out=best)
+    c12 += c1
+    n += np.less_equal(c12, omega, out=_as_mask(own))
     return n
 
 
-def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None):
+def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None, out=None):
     """Packet counts for FO-NOMA over the m cross gains of each slot (m defaults to top.shape[-1]).
 
     top[..., j] holds the best of them in descending order; the rest come
     from `deeper` (see _deeper_levels).  Best gains first -> ascending extra
-    costs -> the feasible set is a prefix.
+    costs -> the feasible set is a prefix (see _owned for `out`).
     """
-    top = np.asarray(top)
-    m = top.shape[-1] if m is None else m
-    spent = rho1 / np.asarray(own)
-    n = (spent <= omega).astype(np.min_scalar_type(m + 1))
+    m = np.shape(top)[-1] if m is None else m
+    own, top, out = _owned(out, np.shape(own), np.min_scalar_type(m + 1), own, top)
+    spent = np.divide(rho1, own, out=own)
+    n = fits = np.less_equal(spent, omega, out=out)
     for g in np.moveaxis(top, -1, 0):
-        spent += rho2 / g
-        n += spent <= omega
-    return _deeper_levels(n, spent, (rho2,) * (m - top.shape[-1]), omega, deeper)
+        spent += np.divide(rho2, g, out=g)
+        fits = np.less_equal(spent, omega, out=_as_mask(g))
+        n += fits
+    return _deeper_levels(n, spent, fits, (rho2,) * (m - top.shape[-1]), omega, deeper)
 
 
-def _deeper_levels(n, spent, rhos, omega, deeper):
+def _owned(out, shape, dtype, *gains):
+    """The gains a kernel overwrites with costs and masks, and the counts array it writes.
+
+    With `out`, of the kernel's count dtype, the caller hands over its
+    float64 gains as well, so C-contiguous arrays cost no allocation; else
+    the kernel works on copies and returns new counts.
+    """
+    if out is None:
+        return (*(np.array(g, dtype=float) for g in gains), np.empty(shape, dtype))
+    return (*gains, out)
+
+
+def _as_mask(spent_gains):
+    """A bool array of the shape of a float array whose values are spent, in its memory."""
+    flat = spent_gains.ravel()  # a copy, not a view, if the array is not contiguous
+    return flat.view(np.bool_)[: flat.size].reshape(spent_gains.shape)
+
+
+def _deeper_levels(n, spent, fits, rhos, omega, deeper):
     """Add to the counts n the levels with costs `rhos`, each drawn only where every level before it fit.
 
-    `spent` is the running cost after the levels already counted.
-    `deeper(keep)` returns the next level's gains for the slots `keep`:
-    indices into the slots of its previous call, or into spent.ravel() on
-    its first.  Costs are positive, so a slot over budget stays over; the
-    loop ends when no slot is left.
+    `spent` is the running cost after the levels already counted and
+    `fits` is true where it is within budget.  `deeper(keep)` returns the
+    next level's gains for the slots `keep`: indices into the slots of its
+    previous call, or into spent.ravel() on its first.  Costs are positive,
+    so a slot over budget stays over; the loop ends when no slot is left.
     """
     if not len(rhos):
         return n
     if deeper is None:
         raise ValueError(f"no gains for the last {len(rhos)} levels")
-    alive = np.flatnonzero(spent <= omega)
+    alive = np.flatnonzero(fits)
     keep, spent = alive, spent.reshape(-1)[alive]
     counts = n.ravel()
     for rho in rhos:

@@ -53,11 +53,3 @@ def sinr_at_level(ladder: PowerLadder, level: int) -> float:
     interference = sum(ladder.levels[: level - 1]) + ladder.n0
     return ladder.levels[level - 1] / interference
 
-
-def closed_form_level(gamma: float, n0: float, level: int) -> float:
-    """Closed form rho_l = gamma * n0 * (1+gamma)^(l-1); cross-check for the recursion."""
-    if gamma <= 0 or n0 <= 0:
-        raise ValueError("gamma and n0 must be positive")
-    if level < 1:
-        raise ValueError("level must be at least 1")
-    return gamma * n0 * (1.0 + gamma) ** (level - 1)

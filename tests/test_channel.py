@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -43,6 +44,49 @@ def test_invalid_mean():
         draw_exponential(RngStream(0, 0), 0.0, size=10)
     with pytest.raises(ValueError):
         draw_exponential(RngStream(0, 0), -1.0, size=10)
+
+
+@pytest.mark.parametrize("mean", [1.0, 1 / 2, 1 / 7])
+def test_draw_into_buffer_matches_generator(mean):
+    # means 1 and 1/m, m = K-1 for K = 3 and 8: the same bits as the generator's own draw
+    size = (2, 55, 300)
+    buf = np.empty(size)
+    got = draw_exponential(RngStream(14, 2), mean, size, out=buf)
+    assert got is buf
+    assert got.tobytes() == RngStream(14, 2).generator.exponential(mean, size).tobytes()
+
+
+def test_zero_draws_are_redrawn_through_one_mask(monkeypatch):
+    # the generator is made to return zeros, and zeros again on two redraws:
+    # every zero is redrawn until none is left, and the passes share one
+    # mask (a new mask per pass would double the peak)
+    n, redraws, real = 10**6, [], RngStream(15).generator
+
+    class ZeroingGenerator:
+        def standard_exponential(self, size=None, out=None):
+            out = real.standard_exponential(size, out=out)
+            out[::1000] = 0.0
+            return out
+
+        def exponential(self, mean, count):
+            redraws.append(count)
+            values = real.exponential(mean, count)
+            if len(redraws) < 3:
+                values[::2] = 0.0
+            return values
+
+    stream = RngStream(15)
+    monkeypatch.setattr(stream, "generator", ZeroingGenerator())
+    buf = np.empty(n)
+    tracemalloc.start()
+    try:
+        got = draw_exponential(stream, 0.5, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is buf and (got > 0).all()
+    assert redraws == [1000, 500, 250]
+    assert peak < 1.5 * n  # one bool mask of n bytes
 
 
 def test_max_cross_gain_cdf():

@@ -353,6 +353,8 @@ def test_analytic_json_is_strict_when_no_slot_fails(capsys, policy):
         ["--gamma", "4", "--omega", "20", "--n0", "inf"],
         ["--gamma-db", "nan", "--omega", "20"],
         ["--gamma", "4", "--omega-db", "inf"],
+        ["--gamma-db", "4000", "--omega", "20"],
+        ["--gamma", "4", "--omega-db", "4000"],
     ],
 )
 def test_non_finite_input_is_exit_2(capsys, flags):

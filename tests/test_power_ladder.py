@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from smddc import build_ladder, closed_form_level, sinr_at_level
+from smddc import build_ladder, sinr_at_level
+
+
+def closed_form_level(gamma: float, n0: float, level: int) -> float:
+    """Closed form rho_l = gamma * n0 * (1+gamma)^(l-1); cross-check for the recursion."""
+    return gamma * n0 * (1.0 + gamma) ** (level - 1)
 
 
 def test_build_ladder_gamma4():

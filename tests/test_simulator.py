@@ -233,3 +233,32 @@ def test_joint_two_families_match_separate_calls():
 def test_batch_size_below_one_is_rejected(estimate, batch_size):
     with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
         estimate(PolicyKind.sdo(), CFG, trials=100, batch_size=batch_size)
+
+
+def _fresh_errors(policy, cfg, seed, batch_index, n_sessions):
+    """Session errors of one batch from arrays allocated for it alone."""
+    counts = _slot_counts(policy, cfg, RngStream(seed, batch_index), (cfg.w_s, n_sessions))
+    return int(np.count_nonzero(counts.sum(axis=0, dtype=np.int64) < cfg.w))
+
+
+@pytest.mark.parametrize(
+    "cfg,policies",
+    [
+        (SystemConfig(gamma=4, omega=10, k=8, w=50, w_s=60), [PolicyKind.oma(), PolicyKind.sdo(), PolicyKind.fo()]),
+        (
+            SystemConfig(gamma=0.5, omega=1.5, k=6, w=50, w_s=55),
+            [PolicyKind.oma()] + [PolicyKind.symmetric(depth) for depth in range(1, 5)],
+        ),
+    ],
+    ids=["cross", "own"],
+)
+def test_reused_workspace_carries_nothing_between_batches(cfg, policies):
+    # 3 full batches and a 1-session tail run through one workspace (per
+    # worker); each must count as if its arrays were new
+    batch, seed = 1_000, 24
+    sizes = [batch, batch, batch, 1]
+    fresh = [sum(_fresh_errors(p, cfg, seed, b, n) for b, n in enumerate(sizes)) for p in policies]
+    assert len(set(fresh)) > 1
+    for workers in (1, 2):
+        stats = estimate_session_errors(policies, cfg, sum(sizes), seed=seed, workers=workers, batch_size=batch)
+        assert [s.errors for s in stats] == fresh
