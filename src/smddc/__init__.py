@@ -17,6 +17,7 @@ from .analytic import (
     chernoff_noma2,
     chernoff_oma,
     exact_session_error,
+    log_session_error,
     mean_packets,
     noma_factor,
     oma_session_error_binomial,
@@ -52,6 +53,7 @@ __all__ = [
     "estimate_session_error",
     "estimate_session_errors",
     "exact_session_error",
+    "log_session_error",
     "mean_packets",
     "noma_factor",
     "oma_session_error_binomial",

@@ -2,11 +2,12 @@
 
 Per-slot multi-packet probabilities (beta/alpha), the closed-form Chernoff
 bounds for L=1 and L=2 with a generic root-finding minimizer for any
-packet-count law, the NOMA factor, and an exact dynamic-programming
-evaluation of the session error probability Pr(sum_t V(t) < W).
+packet-count law, the NOMA factor, and the exact session error probability
+Pr(sum_t V(t) < W) in log space, by a power-series recurrence in O(W L).
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,22 +273,82 @@ def noma_factor(alpha0: float, alpha2_bar: float) -> NomaFactor:
 # --- exact session error --------------------------------------------------
 
 
-def exact_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float:
-    """Exact Pr(sum of per-slot successes over w_s slots < w) by dynamic programming.
+_LOG2 = math.log(2.0)
 
-    Tracks the law of the cumulative success count with everything at or
-    above w folded into one absorbing "done" state; since per-slot counts
-    are nonnegative, reaching w is equivalent to finishing the stream.
+
+def _frexp_power(a: float, n: int) -> tuple[float, int]:
+    """a**n as (mantissa, binary exponent) by binary powering, for any n and any a > 0."""
+    m, e = 1.0, 0
+    base, base_e = math.frexp(a)
+    while n:
+        if n & 1:
+            m, shift = math.frexp(m * base)
+            e += shift + base_e
+        n >>= 1
+        base, shift = math.frexp(base * base)
+        base_e = 2 * base_e + shift
+    return m, e
+
+
+def _frexp_add(m: float, e: int, x: float, x_e: int) -> tuple[float, int]:
+    """m * 2**e + x * 2**x_e for m, x >= 0, as (mantissa, exponent); m is a frexp mantissa."""
+    x, shift = math.frexp(x)
+    x_e += shift
+    if m == 0.0 or x_e > e:
+        m, e, x, x_e = x, x_e, m, e
+    m, shift = math.frexp(m + math.ldexp(x, x_e - e))
+    return m, e + shift
+
+
+def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float:
+    """Natural log of the exact Pr(sum of per-slot counts over w_s slots < w), for any law.
+
+    For iid counts the session error is the sum of the first w coefficients c_k of P(z)**w_s,
+    P(z) = sum_m alpha_m z**m.  J.C.P. Miller's recurrence for the power of a power series
+    (Knuth, TAOCP vol. 2, sec. 4.7) gives them in O(w L) from c_0 = alpha_0**w_s:
+    k alpha_0 c_k = sum_{i=1..L} ((w_s + 1) i - k) alpha_i c_{k-i}, every weight positive for
+    k < w <= w_s, so nothing cancels.  The last L coefficients and their running sum are kept
+    scaled by a common power of two, moved by ldexp whenever the newest coefficient passes hi,
+    which is set from alpha_0 so that the next division by k alpha_0 stays finite.  The sum is
+    therefore right far below the double range, where exp() of the result underflows.  Dividing
+    by k alpha_0 at every step, rather than multiplying by a precomputed alpha_i / alpha_0,
+    keeps rounding from growing like k eps.  A coefficient ~2**900 below the newest drops into
+    the subnormals; that is harmless unless alpha_0 and the next entries are all tiny, e.g.
+    (1e-300, 1e-300, 0.5, 0.5), which is off by 2.4 or more in the log.  The entries of -1e-12
+    that the law admits are clamped to 0; alpha_0 = 0 gives -inf.
     """
-    w, w_s = spec.w, spec.w_s
-    probs = np.asarray(dist.probs, dtype=float)
-    state = np.zeros(w + 1)
-    state[0] = 1.0
-    for _ in range(w_s):
-        nxt = np.convolve(state, probs)
-        nxt[w] = nxt[w:].sum()
-        state = nxt[: w + 1]
-    return float(state[:w].sum())
+    w, n = spec.w, spec.w_s
+    a0, *rest = (max(p, 0.0) for p in dist.probs)
+    if a0 == 0.0:
+        return -math.inf
+    terms = [(float((n + 1) * i), a) for i, a in enumerate(rest, start=1)]
+    hi_exp = math.frexp(a0)[1] + 1017 - ((n + 1) * len(terms)).bit_length()  # so t / (k a0) <= 2**1018
+    hi = math.ldexp(1.0, hi_exp)
+    target = (hi_exp - 1022) // 2  # a rescaled window has as much room above as down to the subnormals
+    m0, scale = _frexp_power(a0, n)  # c_0 = m0 * 2**scale
+    scale -= target
+    acc = math.ldexp(m0, target)
+    window = deque([acc], maxlen=len(terms))  # c_{k-1}, c_{k-2}, ..., scaled; c_{k-i} = 0 for k < i
+    total, total_e = 0.0, 0
+    for k in range(1, w):
+        t = 0.0
+        for (ni, a), c in zip(terms, window):
+            t += (ni - k) * a * c
+        v = t / (k * a0)
+        if v > hi:
+            total, total_e = _frexp_add(total, total_e, acc, scale)
+            shift = math.frexp(v)[1] - target
+            window = deque([math.ldexp(c, -shift) for c in window], maxlen=len(terms))
+            v, acc, scale = math.ldexp(v, -shift), 0.0, scale + shift
+        window.appendleft(v)
+        acc += v
+    total, total_e = _frexp_add(total, total_e, acc, scale)
+    return min(math.log(total) + total_e * _LOG2, 0.0)
+
+
+def exact_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float:
+    """Exact session error, exp of log_session_error (0.0 below the double range)."""
+    return math.exp(log_session_error(dist, spec))
 
 
 def oma_session_error_binomial(alpha1_bar: float, spec: SessionSpec) -> float:

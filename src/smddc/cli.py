@@ -76,13 +76,16 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     Closed forms cover OMA, symmetric depth <= 2 (depth 1 is OMA), and SDO;
     for symmetric depth > 2 and FO the packet-count law is estimated by
     simulation from (trials, seed) and fed to the generic Chernoff
-    minimizer (no exact DP value is reported then, since the law itself is
-    an estimate).
+    minimizer (no exact value is reported then, since the law itself is
+    an estimate).  The exact session error comes with its log10, which stays
+    finite below the double range where exact_p_se reads 0.0; it is None
+    when the session cannot fail (Pr(V = 0) = 0).
     """
     ladder = config.ladder_for(policy)
     spec = config.session_spec()
     b1 = analytic.beta1(ladder.levels[0], config.omega)
-    record = {"beta1": b1, "beta2": None, "exact_p_se": None, "eta": None, "z_star": None}
+    record = dict.fromkeys(("beta2", "exact_p_se", "log10_exact_p_se", "eta", "z_star"))
+    record = {"beta1": b1, **record}
 
     closed_form = policy.variant != "fo" and policy.depth <= 2
     if not closed_form:
@@ -109,7 +112,9 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     record["chernoff_feasible"] = cb.feasible
     record["lambda_star"] = cb.lambda_star if cb.feasible and math.isfinite(cb.lambda_star) else None
     if closed_form:
-        record["exact_p_se"] = analytic.exact_session_error(dist, spec)
+        log_p = analytic.log_session_error(dist, spec)
+        record["exact_p_se"] = math.exp(log_p)
+        record["log10_exact_p_se"] = log_p / math.log(10.0) if log_p > -math.inf else None
     return record
 
 
@@ -228,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in [
         ("ladder", "print the received-power ladder and per-level SINR"),
-        ("analytic", "closed-form probabilities, Chernoff bound, exact DP, NOMA factor"),
+        ("analytic", "closed-form probabilities, Chernoff bound, exact session error, NOMA factor"),
         ("simulate", "Monte Carlo session error estimate"),
         ("sweep", "sweep one parameter axis, one row per value per policy"),
     ]:

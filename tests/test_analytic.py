@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from smddc import (
     chernoff_noma2,
     chernoff_oma,
     exact_session_error,
+    log_session_error,
     mean_packets,
     noma_factor,
     oma_session_error_binomial,
@@ -428,3 +430,123 @@ def test_exact_nonincreasing_in_session_length():
     dist = PacketCountDistribution((0.25, 0.55, 0.2))
     vals = [exact_session_error(dist, SessionSpec(50, ws)) for ws in range(50, 71, 2)]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
+
+
+def _slot_dp_session_error(dist, spec):
+    """Brute-force oracle: the law of the cumulative count, one slot at a time, in O(w w_s L).
+
+    Everything at or above w is folded into one absorbing "done" state; since per-slot counts
+    are nonnegative, reaching w is equivalent to finishing the stream.
+    """
+    w = spec.w
+    probs = np.asarray(dist.probs, dtype=float)
+    state = np.zeros(w + 1)
+    state[0] = 1.0
+    for _ in range(spec.w_s):
+        nxt = np.convolve(state, probs)
+        nxt[w] = nxt[w:].sum()
+        state = nxt[: w + 1]
+    return float(state[:w].sum())
+
+
+def _mp_log_session_error(probs, spec):
+    """ln Pr(sum < w) by Miller's recurrence at 50 digits, with mpmath's unbounded exponent.
+
+    It has no scaling to get wrong and 35 more digits than a double; the recurrence itself is
+    checked against the slot DP above.
+    """
+    n = spec.w_s
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(p) for p in probs]
+        c = [a[0] ** n]
+        for k in range(1, spec.w):
+            terms = (((n + 1) * i - k) * a[i] * c[k - i] for i in range(1, min(k, len(a) - 1) + 1))
+            c.append(mpmath.fsum(terms) / (k * a[0]))
+        return mpmath.log(mpmath.fsum(c))
+
+
+def _random_law(rng, depth):
+    weights = rng.random(depth + 1) ** 3 + 1e-3
+    return PacketCountDistribution(tuple(float(x) for x in weights / weights.sum()))
+
+
+def _sdo_law(k):
+    """The depth-2 SDO law at Gamma = 4 (levels 4 and 20), Omega = 20."""
+    return alphas_from_betas([beta1(4.0, 20.0), beta2_sdo(4.0, 20.0, 20.0, k)])
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_log_session_error_matches_slot_dp(seed):
+    rng = np.random.default_rng([12, seed])
+    dist = _random_law(rng, depth=1 + seed % 6)
+    w = int(rng.integers(1, 301))
+    spec = SessionSpec(w, int(rng.integers(w, 2 * w + 1)))
+    dp = _slot_dp_session_error(dist, spec)
+    if dp >= sys.float_info.min:  # the DP is a normal double
+        assert math.exp(log_session_error(dist, spec)) == pytest.approx(dp, rel=1e-12, abs=0.0)
+        assert exact_session_error(dist, spec) == pytest.approx(dp, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "probs, w, w_s, log10_p, tol",
+    [
+        (_sdo_law(8).probs, 5000, 5500, -504.2708, 1e-11),  # the DP underflowed to 2.19e-321 here
+        ((0.18, 0.49, 0.33), 20000, 22000, -562.7294, 4e-11),  # and to 0.0 here
+    ],
+)
+def test_log_session_error_below_the_double_range(probs, w, w_s, log10_p, tol):
+    spec = SessionSpec(w, w_s)
+    log_p = log_session_error(PacketCountDistribution(probs), spec)
+    assert abs(log_p - float(_mp_log_session_error(probs, spec))) <= tol
+    assert round(log_p / math.log(10.0), 4) == log10_p
+    assert exact_session_error(PacketCountDistribution(probs), spec) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_log_session_error_matches_high_precision_oracle(seed):
+    rng = np.random.default_rng([13, seed])
+    dist = _random_law(rng, depth=1 + seed)
+    for w in (50, 500, 5000):
+        spec = SessionSpec(w, int(rng.integers(w, 2 * w + 1)))
+        assert abs(log_session_error(dist, spec) - float(_mp_log_session_error(dist.probs, spec))) <= 1e-11
+
+
+@pytest.mark.parametrize("a0", [1e-300, 5e-324])
+@pytest.mark.parametrize("rest", [(1.0,), (0.3, 0.7), (0.2, 0.3, 0.5)])
+def test_log_session_error_tiny_alpha0(a0, rest):
+    # every step must stay finite however far below 1 the division by k alpha_0 scales
+    probs = (a0,) + tuple(x * (1.0 - a0) for x in rest)
+    for w, w_s in ((1, 1), (40, 60), (300, 301), (10, 10**6)):
+        spec = SessionSpec(w, w_s)
+        log_p = log_session_error(PacketCountDistribution(probs), spec)
+        oracle = float(_mp_log_session_error(probs, spec))
+        assert math.isfinite(log_p)
+        assert log_p == pytest.approx(oracle, rel=1e-12)
+
+
+def test_log_session_error_zero_alpha0():
+    # every slot delivers, so w <= w_s packets always arrive
+    for probs in ((0.0, 1.0), (0.0, 0.4, 0.6)):
+        dist = PacketCountDistribution(probs)
+        assert log_session_error(dist, SessionSpec(5, 5)) == -math.inf
+        assert exact_session_error(dist, SessionSpec(5, 5)) == 0.0
+
+
+def test_log_session_error_never_delivering_law():
+    dist = PacketCountDistribution((1.0,))
+    assert log_session_error(dist, SessionSpec(30, 40)) == 0.0
+    assert exact_session_error(dist, SessionSpec(30, 40)) == 1.0
+
+
+def test_log_session_error_trailing_zeros():
+    spec = SessionSpec(40, 50)
+    trimmed = log_session_error(PacketCountDistribution((0.3, 0.7)), spec)
+    assert log_session_error(PacketCountDistribution((0.3, 0.7, 0.0, 0.0)), spec) == trimmed
+    assert log_session_error(PacketCountDistribution((1.0, 0.0)), spec) == 0.0
+
+
+def test_log_session_error_clamps_tiny_negative_entries():
+    spec = SessionSpec(40, 50)
+    clamped = log_session_error(PacketCountDistribution((0.3, 0.7 + 5e-13, -5e-13)), spec)
+    assert clamped == log_session_error(PacketCountDistribution((0.3, 0.7 + 5e-13)), spec)
+    assert math.isfinite(clamped)

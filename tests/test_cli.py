@@ -328,6 +328,44 @@ def test_analytic_vanishing_two_packet_probability(capsys, policy):
     assert record["chernoff_bound"] == pytest.approx(generic.bound, rel=1e-12)
 
 
+def test_analytic_log10_exact_p_se_below_the_double_range(capsys):
+    # SDO at K = 8, W = 5,000: exact_p_se underflows to 0.0, its log10 does not
+    argv = ["analytic", "--gamma", "4", "--omega", "20", "--policy", "sdo", "--k", "8", "--w", "5000", "--ws", "5500"]
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    record = json.loads(out)["record"]
+    assert record["exact_p_se"] == 0.0 and round(record["log10_exact_p_se"], 4) == -504.2708
+    code, out, _ = run_cli(capsys, argv)
+    (row,) = _csv_rows(out)
+    assert code == 0 and float(row["log10_exact_p_se"]) == record["log10_exact_p_se"]
+
+
+@pytest.mark.parametrize("policy", [["--policy", "oma"], ["--policy", "sym", "--depth", "2"], ["--policy", "sdo"]])
+def test_analytic_log10_exact_p_se_matches_exact_p_se(capsys, policy):
+    code, out, _ = run_cli(capsys, ["analytic", "--gamma", "4", "--omega", "20", "--k", "3", "--format", "json", *policy])
+    record = json.loads(out)["record"]
+    assert code == 0 and 10.0 ** record["log10_exact_p_se"] == pytest.approx(record["exact_p_se"], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags", [["--omega", "20", "--policy", "fo"], ["--omega", "1e18", "--policy", "sdo"]]
+)
+def test_analytic_log10_exact_p_se_null(capsys, flags):
+    # an estimated law has no exact value, and a law with Pr(V = 0) = 0 cannot fail (log of 0)
+    argv = ["analytic", "--gamma", "4", "--k", "3", "--trials", "20000", "--format", "json", *flags]
+    code, out, _ = run_cli(capsys, argv)
+    record = json.loads(out, parse_constant=_reject_constant)["record"]
+    assert code == 0 and record["log10_exact_p_se"] is None
+    assert record["exact_p_se"] == (0.0 if "1e18" in flags else None)
+
+
+def test_sweep_rows_have_no_log10_column(capsys):
+    argv = ["sweep", "--gamma", "4", "--omega", "20", "--axis", "w_s", "--values", "55", "--trials", "100"]
+    code, out, _ = run_cli(capsys, argv)
+    (row,) = _csv_rows(out)
+    assert code == 0 and "exact_p_se" in row and "log10_exact_p_se" not in row
+
+
 def _reject_constant(name):
     raise ValueError(f"not JSON: {name}")
 
