@@ -152,7 +152,7 @@ class SessionSpec:
         return self.w / self.w_s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # sweeps and the benchmark keep one result per point
 class ChernoffResult:
     """Chernoff bound on the session error probability.
 
@@ -248,7 +248,7 @@ def chernoff_noma2(dist: PacketCountDistribution, spec: SessionSpec) -> Chernoff
 # --- NOMA factor ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NomaFactor:
     """Minimum per-slot ratio of the depth-2 to OMA Chernoff bounds."""
 
