@@ -277,17 +277,25 @@ _LOG2 = math.log(2.0)
 
 
 def _frexp_power(a: float, n: int) -> tuple[float, int]:
-    """a**n as (mantissa, binary exponent) by binary powering, for any n and any a > 0."""
-    m, e = 1.0, 0
-    base, base_e = math.frexp(a)
-    while n:
-        if n & 1:
-            m, shift = math.frexp(m * base)
-            e += shift + base_e
-        n >>= 1
-        base, shift = math.frexp(base * base)
-        base_e = 2 * base_e + shift
-    return m, e
+    """a**n as (mantissa, binary exponent), for any n and any a > 0.
+
+    a = m 2**e, and m**c is one math.pow, within an ulp, for the largest c that keeps it
+    normal.  Binary powering of that piece multiplies its error by n / c, not by n.
+    """
+    m, e = math.frexp(a)
+    c = min(n, int(1000.0 / -math.log2(m)))  # m in [0.5, 1), so c >= 1000
+    q, r = divmod(n, c)
+    result, result_e = math.frexp(math.pow(m, r))
+    result_e += e * n
+    piece, piece_e = math.frexp(math.pow(m, c))
+    while q:
+        if q & 1:
+            result, shift = math.frexp(result * piece)
+            result_e += shift + piece_e
+        q >>= 1
+        piece, shift = math.frexp(piece * piece)
+        piece_e = 2 * piece_e + shift
+    return result, result_e
 
 
 def _frexp_add(m: float, e: int, x: float, x_e: int) -> tuple[float, int]:

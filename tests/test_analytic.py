@@ -26,7 +26,7 @@ from smddc import (
     oma_session_error_binomial,
     x_k1,
 )
-from smddc.analytic import _log_objective
+from smddc.analytic import _frexp_power, _log_objective
 
 
 def k1_quadrature(x):
@@ -509,6 +509,16 @@ def test_log_session_error_matches_high_precision_oracle(seed):
     for w in (50, 500, 5000):
         spec = SessionSpec(w, int(rng.integers(w, 2 * w + 1)))
         assert abs(log_session_error(dist, spec) - float(_mp_log_session_error(dist.probs, spec))) <= 1e-11
+
+
+@pytest.mark.parametrize("a", [0.18126924692201818, 0.5, 0.75, 1.0 - 1e-9, 1e-300, 5e-324])
+def test_frexp_power_matches_high_precision(a):
+    # repeated squaring alone doubles the relative error at each step, about n eps in all
+    for n in (1, 55, 5500, 22000, 10**6):
+        m, e = _frexp_power(a, n)
+        with mpmath.workdps(40):
+            rel = abs(mpmath.ldexp(mpmath.mpf(m), e) / mpmath.mpf(a) ** n - 1)
+        assert 0.5 <= m < 1.0 and rel <= 1e-15 * max(1, n // 1000)
 
 
 @pytest.mark.parametrize("a0", [1e-300, 5e-324])
