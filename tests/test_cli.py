@@ -347,9 +347,7 @@ def test_analytic_log10_exact_p_se_matches_exact_p_se(capsys, policy):
     assert code == 0 and 10.0 ** record["log10_exact_p_se"] == pytest.approx(record["exact_p_se"], rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "flags", [["--omega", "20", "--policy", "fo"], ["--omega", "1e18", "--policy", "sdo"]]
-)
+@pytest.mark.parametrize("flags", [["--omega", "20", "--policy", "fo"], ["--omega", "1e18", "--policy", "sdo"]])
 def test_analytic_log10_exact_p_se_null(capsys, flags):
     # an estimated law has no exact value, and a law with Pr(V = 0) = 0 cannot fail (log of 0)
     argv = ["analytic", "--gamma", "4", "--k", "3", "--trials", "20000", "--format", "json", *flags]
