@@ -100,6 +100,8 @@ class PacketCountDistribution:
         p = np.asarray(self.probs, dtype=float)
         if p.size < 1:
             raise ValueError("probs must be non-empty")
+        if not np.isfinite(p).all():  # NaN passes every comparison below
+            raise ValueError(f"probabilities must be finite: {self.probs}")
         if (p < -1e-12).any() or (p > 1 + 1e-12).any():
             raise ValueError(f"probabilities outside [0,1]: {self.probs}")
         if abs(p.sum() - 1.0) > 1e-9:

@@ -1,17 +1,26 @@
 """Per-slot transmission decisions for OMA and the opportunistic NOMA modes.
 
-Each policy maps the slot's channel gains and the user's power budget to the
-number of packets transmitted.  The budget test is inclusive (<= omega), and
-if the primary (level-1) packet is unaffordable nothing is transmitted.
+Every policy makes one decision per slot: it sends the longest prefix of
+its power-ladder levels whose total cost, the sum of rho_l / g_l, stays
+within the budget omega (inclusive), so if the level-1 packet is
+unaffordable nothing is sent.  The policies differ only in the gain that
+backs each level and in each level's cost:
+
+- OMA: the own gain, at rho_1;
+- symmetric depth L: the gains of levels 1..L, at rho_1..rho_L;
+- SDO: the own gain at rho_1, then the best cross gain at rho_2;
+- FO: the own gain at rho_1, then the m = K-1 cross gains, best first,
+  each at rho_2 (best first makes the extra costs ascend, so the prefix
+  is the largest affordable set).
 
 The `*_packet_counts` kernels are vectorized over numpy arrays of slots and
-are the Monte Carlo simulator's inner loop.  Multi-level gains come with the
-level on the last axis; each kernel loops over levels with running sums, so
-a caller that passes np.moveaxis(level_major, 0, -1) hands it one contiguous
-slab per level.  The symmetric and FO kernels can take their deeper levels
-from a callable instead, which draws each level only for the slots that
-are still within budget.  Counts come back in the narrowest unsigned
-integer dtype that holds the policy's per-slot cap.
+are the Monte Carlo simulator's inner loop; each is one call into
+_prefix_counts.  Multi-level gains come with the level on the last axis, so
+a caller that passes np.moveaxis(level_major, 0, -1) hands the kernel one
+contiguous slab per level.  The symmetric and FO kernels can take their
+deeper levels from a callable instead, which draws each level only for the
+slots that are still within budget.  Counts come back in the narrowest
+unsigned integer dtype that holds the policy's per-slot cap.
 """
 
 from dataclasses import dataclass
@@ -77,97 +86,69 @@ class PolicyKind:
 
 
 def oma_packet_counts(own, rho1, omega, out=None):
-    """Packet counts per slot for OMA; `own` is an array of own-channel gains (see _owned for `out`)."""
-    own, out = _owned(out, np.shape(own), np.uint8, own)
-    return np.less_equal(np.divide(rho1, own, out=own), omega, out=out)
+    """Packet counts per slot for OMA; `own` is an array of own-channel gains (see _prefix_counts for `out`)."""
+    return _prefix_counts((own,), (rho1,), omega, out=out)
 
 
 def symmetric_packet_counts(gains, rhos, omega, deeper=None, out=None):
-    """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet.
+    """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet, at cost rhos[l].
 
     `gains` holds the first levels; the rest of `rhos`, if any, come from
-    `deeper` (see _deeper_levels).  The cumulative cost over levels is
-    increasing (costs are positive), so the largest feasible prefix is just
-    the number of running sums <= omega (see _owned for `out`).
+    `deeper` (see _prefix_counts, also for `out`).
     """
-    gains, out = _owned(out, np.shape(gains)[:-1], np.min_scalar_type(len(rhos)), gains)
-    levels = np.moveaxis(gains, -1, 0)
-    spent = np.divide(rhos[0], levels[0], out=levels[0])
-    n = fits = np.less_equal(spent, omega, out=out)
-    for rho, g in zip(rhos[1 : len(levels)], levels[1:], strict=True):
-        spent += np.divide(rho, g, out=g)
-        fits = np.less_equal(spent, omega, out=_as_mask(g))
-        n += fits
-    return _deeper_levels(n, spent, fits, rhos[len(levels) :], omega, deeper)
+    return _prefix_counts(np.moveaxis(gains, -1, 0), rhos, omega, deeper, out)
 
 
 def sdo_packet_counts(own, best, rho1, rho2, omega, out=None):
-    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot (see _owned for `out`).
-
-    The extra cost is positive, so the two-packet test implies the primary one.
-    """
-    own, best, out = _owned(out, np.shape(own), np.uint8, own, best)
-    c1 = np.divide(rho1, own, out=own)
-    n = np.less_equal(c1, omega, out=out)
-    c12 = np.divide(rho2, best, out=best)
-    c12 += c1
-    n += np.less_equal(c12, omega, out=_as_mask(own))
-    return n
+    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot (see _prefix_counts for `out`)."""
+    return _prefix_counts((own, best), (rho1, rho2), omega, out=out)
 
 
 def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None, out=None):
     """Packet counts for FO-NOMA over the m cross gains of each slot (m defaults to top.shape[-1]).
 
     top[..., j] holds the best of them in descending order; the rest come
-    from `deeper` (see _deeper_levels).  Best gains first -> ascending extra
-    costs -> the feasible set is a prefix (see _owned for `out`).
+    from `deeper` (see _prefix_counts, also for `out`).
     """
     m = np.shape(top)[-1] if m is None else m
-    own, top, out = _owned(out, np.shape(own), np.min_scalar_type(m + 1), own, top)
-    spent = np.divide(rho1, own, out=own)
+    return _prefix_counts((own, *np.moveaxis(top, -1, 0)), (rho1,) + (rho2,) * m, omega, deeper, out)
+
+
+def _prefix_counts(levels, rhos, omega, deeper=None, out=None):
+    """Per slot, the number of leading levels whose running cost, the sum of rhos[l] / levels[l], is <= omega.
+
+    levels[l] holds the level-(l+1) gains of every slot; the levels of the
+    rest of `rhos` come from `deeper(keep)`, which returns the next level's
+    gains for the slots `keep`: indices into the slots of its previous
+    call, or into the flattened slots on its first.  Costs are positive, so
+    the running cost rises and a slot over budget stays over: the count is
+    the number of running sums <= omega, and a deeper level is drawn only
+    for the slots still within budget.  Counts have dtype
+    np.min_scalar_type(len(rhos)).  With `out`, of that dtype, the caller
+    hands over its float64 levels as scratch for costs and masks, so
+    C-contiguous levels cost no allocation; else the kernel works on
+    copies and returns new counts.
+    """
+    if len(levels) > len(rhos):
+        raise ValueError(f"gains for {len(levels)} levels but costs for only {len(rhos)}")
+    if out is None:
+        levels = [np.array(g, dtype=float) for g in levels]
+        out = np.empty(levels[0].shape, np.min_scalar_type(len(rhos)))
+    spent = np.divide(rhos[0], levels[0], out=levels[0])
     n = fits = np.less_equal(spent, omega, out=out)
-    for g in np.moveaxis(top, -1, 0):
-        spent += np.divide(rho2, g, out=g)
+    for rho, g in zip(rhos[1:], levels[1:]):
+        spent += np.divide(rho, g, out=g)
         fits = np.less_equal(spent, omega, out=_as_mask(g))
         n += fits
-    return _deeper_levels(n, spent, fits, (rho2,) * (m - top.shape[-1]), omega, deeper)
-
-
-def _owned(out, shape, dtype, *gains):
-    """The gains a kernel overwrites with costs and masks, and the counts array it writes.
-
-    With `out`, of the kernel's count dtype, the caller hands over its
-    float64 gains as well, so C-contiguous arrays cost no allocation; else
-    the kernel works on copies and returns new counts.
-    """
-    if out is None:
-        return (*(np.array(g, dtype=float) for g in gains), np.empty(shape, dtype))
-    return (*gains, out)
-
-
-def _as_mask(spent_gains):
-    """A bool array of the shape of a float array whose values are spent, in its memory."""
-    flat = spent_gains.ravel()  # a copy, not a view, if the array is not contiguous
-    return flat.view(np.bool_)[: flat.size].reshape(spent_gains.shape)
-
-
-def _deeper_levels(n, spent, fits, rhos, omega, deeper):
-    """Add to the counts n the levels with costs `rhos`, each drawn only where every level before it fit.
-
-    `spent` is the running cost after the levels already counted and
-    `fits` is true where it is within budget.  `deeper(keep)` returns the
-    next level's gains for the slots `keep`: indices into the slots of its
-    previous call, or into spent.ravel() on its first.  Costs are positive,
-    so a slot over budget stays over; the loop ends when no slot is left.
-    """
-    if not len(rhos):
+    rest = rhos[len(levels) :]
+    if not len(rest):
         return n
     if deeper is None:
-        raise ValueError(f"no gains for the last {len(rhos)} levels")
+        raise ValueError(f"no gains for the last {len(rest)} levels")
     alive = np.flatnonzero(fits)
     keep, spent = alive, spent.reshape(-1)[alive]
     counts = n.ravel()
-    for rho in rhos:
+    for rho in rest:
         if not alive.size:
             break
         spent += rho / deeper(keep)
@@ -175,3 +156,9 @@ def _deeper_levels(n, spent, fits, rhos, omega, deeper):
         alive, spent = alive[keep], spent[keep]
         counts[alive] += 1
     return counts.reshape(n.shape)
+
+
+def _as_mask(spent_gains):
+    """A bool array of the shape of a float array whose values are spent, in its memory."""
+    flat = spent_gains.ravel()  # a copy, not a view, if the array is not contiguous
+    return flat.view(np.bool_)[: flat.size].reshape(spent_gains.shape)

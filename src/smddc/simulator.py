@@ -186,7 +186,7 @@ def estimate_session_errors(
     if workers > 1 and len(jobs) > 1:
         size = -(-len(jobs) // workers)  # one contiguous run of batches per worker
         runs = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:  # a fork pool starts all its workers at once
             futures = [pool.submit(_run_batches, policies, config, seed, run) for run in runs]
             per_batch = [errors for f in futures for errors in f.result()]
     else:

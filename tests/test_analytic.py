@@ -192,6 +192,14 @@ def test_distribution_validation():
         PacketCountDistribution((1.2, -0.2))
 
 
+def test_nan_law_is_rejected():
+    # NaN passes every range and sum comparison, and failed only later, inside the session error
+    with pytest.raises(ValueError, match="must be finite"):
+        PacketCountDistribution((math.nan, 1.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        alphas_from_betas([math.nan])
+
+
 # --- session spec and Chernoff bounds -------------------------------------
 
 

@@ -4,12 +4,14 @@ bench/spans.py wraps these and bench/workloads.py calls them, so renaming
 one breaks only a benchmark run; these checks make it fail tier-1 instead.
 """
 
+from collections import Counter
+
 import pytest
 
 import smddc.cli
 import smddc.policies
 import smddc.simulator
-from smddc import SystemConfig
+from smddc import PolicyKind, SystemConfig
 
 ENTRY_POINTS = [
     *((smddc.policies, f"{p}_packet_counts") for p in ("oma", "symmetric", "sdo", "fo")),
@@ -36,3 +38,32 @@ def test_benchmark_entry_point_exists(module, name):
 def test_benchmark_config_constructs():
     # mc-k3's scenario passes the CLI's depth field
     assert SystemConfig(gamma=4, omega=20, k=3, depth=3).depth == 3
+
+
+@pytest.mark.parametrize(
+    "policy,kernel",
+    [
+        (PolicyKind.oma(), "oma"),
+        (PolicyKind.symmetric(3), "symmetric"),
+        (PolicyKind.sdo(), "sdo"),
+        (PolicyKind.fo(), "fo"),
+    ],
+    ids=["oma", "sym3", "sdo", "fo"],
+)
+def test_each_policy_reaches_its_named_kernel(policy, kernel, monkeypatch):
+    # policies.kernel_s.* time these names, so the simulator must look them up at call time
+    calls = Counter()
+
+    def counted(short, fn):
+        def call(*args, **kwargs):
+            calls[short] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for short in ("oma", "symmetric", "sdo", "fo"):
+        name = f"{short}_packet_counts"
+        monkeypatch.setattr(smddc.policies, name, counted(short, getattr(smddc.policies, name)))
+    config = SystemConfig(gamma=4, omega=20, k=3)
+    smddc.simulator.estimate_session_error(policy, config, trials=2_000, seed=1, batch_size=1_000)
+    assert set(calls) == {kernel} and calls[kernel] == 2  # one call per batch

@@ -295,3 +295,45 @@ def test_mean_packets_nondecreasing_in_depth():
         for L in range(1, 7)
     ]
     assert all(b >= a for a, b in zip(means, means[1:]))
+
+
+def _fo_level_major(gains, out):
+    return fo_packet_counts(gains[0], np.moveaxis(gains[1:], 0, -1), 1.0, 1e-3, 1e3, out=out)
+
+
+def _sym_level_major(gains, out):
+    return symmetric_packet_counts(np.moveaxis(gains, 0, -1), np.full(len(gains), 1e-3), 1e3, out=out)
+
+
+@pytest.mark.parametrize(
+    "kernel,depth,dtype",
+    [
+        (lambda g, out: oma_packet_counts(g[0], 4.0, 20.0, out=out), 1, np.uint8),
+        (lambda g, out: sdo_packet_counts(g[0], g[1], 4.0, 20.0, 20.0, out=out), 2, np.uint8),
+        (_fo_level_major, 3, np.uint8),
+        (_fo_level_major, 256, np.uint16),
+        (_sym_level_major, 3, np.uint8),
+        (_sym_level_major, 256, np.uint16),
+    ],
+    ids=["oma", "sdo", "fo-m2", "fo-m255", "sym-L3", "sym-L256"],
+)
+def test_count_dtype_holds_the_cap(kernel, depth, dtype):
+    # one place picks the dtype, np.min_scalar_type of the level count: uint8 up to 255 levels
+    gains = np.random.default_rng(8).exponential(1, (depth, 4, 50))
+    dense = kernel(gains.copy(), None)
+    assert dense.dtype == dtype and dense.shape == (4, 50)
+    assert dense.max() == depth  # the full depth is sent and fits the dtype
+    out = np.empty((4, 50), dtype)
+    given = kernel(gains, out)
+    assert np.shares_memory(given, out) and given.dtype == dtype
+    assert np.array_equal(given, dense)
+
+
+def test_more_gain_levels_than_costs_is_rejected():
+    # a 3-wide top with m = 1 counted up to 4 packets, above FO's cap of m + 1 = 2
+    rng = np.random.default_rng(9)
+    own, top = rng.exponential(1, 10), -np.sort(-rng.exponential(1, (10, 3)), axis=-1)
+    with pytest.raises(ValueError, match="gains for 4 levels but costs for only 2"):
+        fo_packet_counts(own, top, 1.0, 2.0, 20.0, m=1)
+    with pytest.raises(ValueError, match="gains for 3 levels but costs for only 2"):
+        symmetric_packet_counts(top, np.asarray(LAD2.levels), 20.0)

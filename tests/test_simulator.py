@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -199,6 +200,32 @@ def test_cross_policies_need_two_users(policy, monkeypatch):
         estimate_session_errors([PolicyKind.oma(), policy], cfg, trials=100_000, workers=2)
     with pytest.raises(ValueError, match=message):
         estimate_alphas(policy, cfg, trials=100)
+
+
+def test_pool_has_no_more_workers_than_runs(monkeypatch):
+    # a fork pool starts all max_workers processes at its first submit: 64 for 2 batches
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+    kw = dict(trials=2_000, seed=4, batch_size=1_000)
+    pooled = estimate_session_error(PolicyKind.sdo(), CFG, workers=64, **kw)
+    assert len(sizes) == 1 and 1 <= sizes[0] <= 2
+    assert pooled == estimate_session_error(PolicyKind.sdo(), CFG, **kw)
 
 
 def _assert_joint_matches_separate(policies, cfg, seed):
