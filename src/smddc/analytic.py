@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 _LAMBDA_MAX = 700.0  # exp underflow limit for the Chernoff search
 
@@ -29,6 +28,10 @@ def x_k1(x: float) -> float:
         raise ValueError(f"x_k1 requires x >= 0, got {x}")
     if x < 1e-290:  # K1(x) ~ 1/x would overflow; the product is 1 to machine precision
         return 1.0
+    if x == math.inf:  # K1(x) underflows to 0 and inf * 0 is NaN; the product falls to 0
+        return 0.0
+    from scipy import special  # imported on first use: a Monte Carlo run never needs scipy
+
     return float(x * special.k1(x))
 
 
@@ -49,7 +52,7 @@ def beta2_symmetric(rho1: float, rho2: float, omega: float) -> float:
     """
     if rho1 <= 0 or rho2 <= 0 or omega <= 0:
         raise ValueError("rho1, rho2 and omega must be positive")
-    x = 2.0 * math.sqrt(rho1 * rho2) / omega
+    x = 2.0 * math.sqrt(rho1) * math.sqrt(rho2) / omega  # rho1 * rho2 overflows long before its root
     return math.exp(-(rho1 + rho2) / omega) * x_k1(x)
 
 
@@ -68,7 +71,7 @@ def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
         raise ValueError("rho1, rho2 and omega must be positive")
     if k_users < 2:
         raise ValueError(f"k_users must be at least 2, got {k_users}")
-    from scipy import integrate  # imported on first use: ~0.1 s that a Monte Carlo run never needs
+    from scipy import integrate  # imported on first use, as in x_k1
 
     m = k_users - 1
     y0 = rho2 / omega
@@ -176,6 +179,8 @@ def _log_objective(probs, kappa, lam):
 
     The full bound is w_s times this, exponentiated.
     """
+    from scipy import special  # imported on first use, as in x_k1
+
     ms = np.arange(len(probs))
     return float(special.logsumexp(-lam * ms, b=probs) + kappa * lam)
 
@@ -370,4 +375,6 @@ def oma_session_error_binomial(alpha1_bar: float, spec: SessionSpec) -> float:
     """
     if not 0.0 <= alpha1_bar <= 1.0:
         raise ValueError(f"alpha1_bar must be in [0,1], got {alpha1_bar}")
+    from scipy import special  # imported on first use, as in x_k1
+
     return float(special.betainc(spec.w_s - spec.w + 1, spec.w, 1.0 - alpha1_bar))

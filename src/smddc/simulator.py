@@ -145,7 +145,9 @@ def _run_batches(policies, config: SystemConfig, seed: int, jobs):
             counts = _slot_counts(driver, config, RngStream(seed, b), (config.w_s, n_sessions), ws)
             for i in members:
                 cap = policies[i].max_packets(config.k)
-                totals = np.minimum(counts, cap, out=counts).sum(axis=0, dtype=np.min_scalar_type(config.w_s * cap))
+                if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
+                    np.minimum(counts, cap, out=counts)
+                totals = counts.sum(axis=0, dtype=np.min_scalar_type(config.w_s * cap))
                 errors[i] = int(np.count_nonzero(totals < config.w))
         per_batch.append(errors)
     return per_batch

@@ -83,6 +83,12 @@ def test_beta2_symmetric_large_budget_limit():
     assert beta2_symmetric(4, 20, 1e12) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_beta2_symmetric_huge_costs_limit():
+    # rho1 * rho2 overflows to inf, and x * K1(x) at x = inf was inf * 0 = NaN (a RuntimeWarning here)
+    assert beta2_symmetric(1e155, 1e160, 20.0) == 0.0
+    assert x_k1(math.inf) == 0.0
+
+
 def test_beta2_symmetric_vs_quadrature():
     # oracle: the pre-Bessel integral form of the two-packet probability
     rho1, rho2, omega = 4.0, 20.0, 20.0

@@ -357,6 +357,14 @@ def test_analytic_log10_exact_p_se_null(capsys, flags):
     assert record["exact_p_se"] == (0.0 if "1e18" in flags else None)
 
 
+def test_analytic_sym_costs_beyond_the_double_range(capsys):
+    # gamma^3 overflows in rho1 * rho2; beta2 was NaN and the law was rejected with exit 2
+    argv = ["analytic", "--gamma", "1e200", "--omega", "20", "--policy", "sym", "--depth", "2", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    record = json.loads(out)["record"]
+    assert code == 0 and record["beta2"] == 0.0 and record["exact_p_se"] == 1.0
+
+
 def test_sweep_rows_have_no_log10_column(capsys):
     argv = ["sweep", "--gamma", "4", "--omega", "20", "--axis", "w_s", "--values", "55", "--trials", "100"]
     code, out, _ = run_cli(capsys, argv)
