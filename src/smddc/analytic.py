@@ -174,25 +174,15 @@ class ChernoffResult:
 _INFEASIBLE = ChernoffResult(bound=1.0, lambda_star=0.0, feasible=False)
 
 
-def _log_objective(probs, kappa, lam):
-    """Log of the per-slot Chernoff term exp(kappa*lam) * E[exp(-lam*V)].
-
-    The full bound is w_s times this, exponentiated.
-    """
-    from scipy import special  # imported on first use, as in x_k1
-
-    ms = np.arange(len(probs))
-    return float(special.logsumexp(-lam * ms, b=probs) + kappa * lam)
-
-
 def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> ChernoffResult:
     """Numerically minimized Chernoff bound for any packet-count law, estimated ones included.
 
     lambda* is the root, by Brent's method on [0, _LAMBDA_MAX], of the convex log objective's
     derivative kappa - E_lambda[V] (the mean of the law tilted by exp(-lambda*V)), or the cap if
-    the derivative is still negative there.  A law with Pr(V = 0) = 0 never fails a slot: the
-    objective sum_m p_m exp(-(m - kappa) lambda) falls, as lambda* -> inf, to Pr(V = 1) when
-    kappa = 1 and to 0 when kappa < 1.  The closed forms take this limit from here.
+    the derivative is still negative there.  The same tilted weights give the bound,
+    exp(w_s (kappa lambda* + log sum_m p_m exp(-lambda* m))).  A law with Pr(V = 0) = 0 never
+    fails a slot: the objective sum_m p_m exp(-(m - kappa) lambda) falls, as lambda* -> inf, to
+    Pr(V = 1) when kappa = 1 and to 0 when kappa < 1.  The closed forms take this limit from here.
     """
     from scipy import optimize  # imported on first use, as in beta2_sdo
 
@@ -200,8 +190,11 @@ def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> Cherno
     probs = np.asarray(dist.probs, dtype=float)
     ms = np.arange(len(probs))
 
+    def tilted(lam):  # the m = 0 weight keeps the sum >= alpha_0 > 0 once the law can fail
+        return probs * np.exp(-lam * ms)
+
     def slope(lam):
-        weights = probs * np.exp(-lam * ms)  # the m = 0 weight keeps the sum positive
+        weights = tilted(lam)
         return kappa - float(ms @ weights) / float(weights.sum())
 
     if slope(0.0) >= 0.0:  # E[V] <= kappa
@@ -211,7 +204,7 @@ def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> Cherno
         return ChernoffResult(bound=bound, lambda_star=math.inf, feasible=True)
     capped = slope(_LAMBDA_MAX) <= 0.0
     lam_star = _LAMBDA_MAX if capped else optimize.brentq(slope, 0.0, _LAMBDA_MAX, xtol=1e-15)
-    log_bound = spec.w_s * _log_objective(probs, kappa, lam_star)
+    log_bound = spec.w_s * (kappa * lam_star + math.log(float(tilted(lam_star).sum())))
     return ChernoffResult(bound=min(math.exp(log_bound), 1.0), lambda_star=lam_star, feasible=True)
 
 
@@ -305,16 +298,6 @@ def _frexp_power(a: float, n: int) -> tuple[float, int]:
     return result, result_e
 
 
-def _frexp_add(m: float, e: int, x: float, x_e: int) -> tuple[float, int]:
-    """m * 2**e + x * 2**x_e for m, x >= 0, as (mantissa, exponent); m is a frexp mantissa."""
-    x, shift = math.frexp(x)
-    x_e += shift
-    if m == 0.0 or x_e > e:
-        m, e, x, x_e = x, x_e, m, e
-    m, shift = math.frexp(m + math.ldexp(x, x_e - e))
-    return m, e + shift
-
-
 def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float:
     """Natural log of the exact Pr(sum of per-slot counts over w_s slots < w), for any law.
 
@@ -327,7 +310,8 @@ def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float
     which is set from alpha_0 so that the next division by k alpha_0 stays finite.  The sum is
     therefore right far below the double range, where exp() of the result underflows.  Dividing
     by k alpha_0 at every step, rather than multiplying by a precomputed alpha_i / alpha_0,
-    keeps rounding from growing like k eps.  A coefficient ~2**900 below the newest drops into
+    keeps rounding from growing like k eps.  A coefficient, or a part of the sum, that a rescale
+    leaves 2**500 or more below the newest coefficient (2**1000 at alpha_0 near 1) drops into
     the subnormals; that is harmless unless alpha_0 and the next entries are all tiny, e.g.
     (1e-300, 1e-300, 0.5, 0.5), which is off by 2.4 or more in the log.  The entries of -1e-12
     that the law admits are clamped to 0; alpha_0 = 0 gives -inf.
@@ -344,21 +328,19 @@ def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float
     scale -= target
     acc = math.ldexp(m0, target)
     window = deque([acc], maxlen=len(terms))  # c_{k-1}, c_{k-2}, ..., scaled; c_{k-i} = 0 for k < i
-    total, total_e = 0.0, 0
     for k in range(1, w):
         t = 0.0
         for (ni, a), c in zip(terms, window):
             t += (ni - k) * a * c
         v = t / (k * a0)
         if v > hi:
-            total, total_e = _frexp_add(total, total_e, acc, scale)
             shift = math.frexp(v)[1] - target
             window = deque([math.ldexp(c, -shift) for c in window], maxlen=len(terms))
-            v, acc, scale = math.ldexp(v, -shift), 0.0, scale + shift
+            v, acc, scale = math.ldexp(v, -shift), math.ldexp(acc, -shift), scale + shift
         window.appendleft(v)
         acc += v
-    total, total_e = _frexp_add(total, total_e, acc, scale)
-    return min(math.log(total) + total_e * _LOG2, 0.0)
+    m, e = math.frexp(acc)  # log(acc) + scale ln 2 would round differently where the rescales fall
+    return min(math.log(m) + (scale + e) * _LOG2, 0.0)
 
 
 def exact_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float:

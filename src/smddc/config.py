@@ -33,8 +33,7 @@ class SystemConfig:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
-        if self.w < 1 or self.w_s < self.w:
-            raise ValueError(f"need w_s >= w >= 1, got w={self.w}, w_s={self.w_s}")
+        self.session_spec()  # raises for anything but w_s >= w >= 1
 
     def session_spec(self) -> SessionSpec:
         return SessionSpec(w=self.w, w_s=self.w_s)

@@ -1,7 +1,7 @@
 """A fresh interpreter runs the Monte Carlo and ladder commands on numpy alone.
 
-scipy serves only the closed forms (K1, logsumexp, betainc, quad, brentq) and
-is imported on first use.  These checks run the CLI in a new process, one at a
+scipy serves only the closed forms (K1, betainc, quad, brentq) and is
+imported on first use.  These checks run the CLI in a new process, one at a
 time: pytest itself imports scipy for its warning filters, so sys.modules here
 says nothing about a cold start.
 """
@@ -56,8 +56,8 @@ def test_command_imports_no_scipy(argv):
     [["--policy", "sym", "--depth", "2"], ["--policy", "sdo"], ["--policy", "fo"], ["--policy", "oma"]],
 )
 def test_analytic_first_scipy_call_gives_the_same_bits(capsys, policy):
-    # the fresh process reaches each deferred import (x_k1, chernoff_generic and
-    # _log_objective, beta2_sdo) for the first time; this one has them loaded
+    # the fresh process reaches each deferred import (x_k1, chernoff_generic,
+    # beta2_sdo) for the first time; this one has them loaded
     argv = ["analytic", *COMMON, "--trials", "20000", *policy]
     fresh = _fresh(RUN_CLI, argv).stdout
     assert main(argv) == 0
