@@ -184,8 +184,6 @@ def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> Cherno
     fails a slot: the objective sum_m p_m exp(-(m - kappa) lambda) falls, as lambda* -> inf, to
     Pr(V = 1) when kappa = 1 and to 0 when kappa < 1.  The closed forms take this limit from here.
     """
-    from scipy import optimize  # imported on first use, as in beta2_sdo
-
     kappa = spec.kappa
     probs = np.asarray(dist.probs, dtype=float)
     ms = np.arange(len(probs))
@@ -202,8 +200,12 @@ def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> Cherno
     if probs[0] <= 0.0:
         bound = float(probs[1]) ** spec.w_s if spec.w == spec.w_s else 0.0
         return ChernoffResult(bound=bound, lambda_star=math.inf, feasible=True)
-    capped = slope(_LAMBDA_MAX) <= 0.0
-    lam_star = _LAMBDA_MAX if capped else optimize.brentq(slope, 0.0, _LAMBDA_MAX, xtol=1e-15)
+    if slope(_LAMBDA_MAX) <= 0.0:
+        lam_star = _LAMBDA_MAX
+    else:
+        from scipy import optimize  # imported where the root is sought, so the early exits load no scipy
+
+        lam_star = optimize.brentq(slope, 0.0, _LAMBDA_MAX, xtol=1e-15)
     log_bound = spec.w_s * (kappa * lam_star + math.log(float(tilted(lam_star).sum())))
     return ChernoffResult(bound=min(math.exp(log_bound), 1.0), lambda_star=lam_star, feasible=True)
 
@@ -310,21 +312,28 @@ def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float
     which is set from alpha_0 so that the next division by k alpha_0 stays finite.  The sum is
     therefore right far below the double range, where exp() of the result underflows.  Dividing
     by k alpha_0 at every step, rather than multiplying by a precomputed alpha_i / alpha_0,
-    keeps rounding from growing like k eps.  A coefficient, or a part of the sum, that a rescale
-    leaves 2**500 or more below the newest coefficient (2**1000 at alpha_0 near 1) drops into
-    the subnormals; that is harmless unless alpha_0 and the next entries are all tiny, e.g.
-    (1e-300, 1e-300, 0.5, 0.5), which is off by 2.4 or more in the log.  The entries of -1e-12
-    that the law admits are clamped to 0; alpha_0 = 0 gives -inf.
+    keeps rounding from growing like k eps.  Where the coefficients grow by more than 2**256 a
+    step (alpha_0 tiny, e.g. (1e-300, 1e-300, 0.5, 0.5)), the older window entries would drop
+    into the subnormals, so z = 2**-j y first brings the growth down to about 2**256, a
+    Newton-polygon scaling (Gaubert & Sharify, 2009): the entries become alpha_i 2**(lift - j i),
+    alpha_0 near 1, and the running sum takes 2**-j a step; other laws have j = 0.  A sparse law
+    spanning more than the double range above a subnormal alpha_0 can still lose coefficients.
+    The entries of -1e-12 that the law admits are clamped to 0; alpha_0 = 0 gives -inf.
     """
     w, n = spec.w, spec.w_s
     a0, *rest = (max(p, 0.0) for p in dist.probs)
     if a0 == 0.0:
         return -math.inf
-    terms = [(float((n + 1) * i), a) for i, a in enumerate(rest, start=1)]
-    hi_exp = math.frexp(a0)[1] + 1017 - ((n + 1) * len(terms)).bit_length()  # so t / (k a0) <= 2**1018
+    growth = (math.ceil((math.log2(a) - math.log2(a0)) / i) for i, a in enumerate(rest, start=1) if a > 0.0)
+    j = max(0, max(growth, default=0) - 256)
+    width = ((n + 1) * len(rest)).bit_length()
+    lift = min(-math.frexp(a0)[1], 1020 - width) if j else 0  # so that (n + 1) L alpha_i 2**(lift - j) is finite
+    m0, scale = _frexp_power(a0, n)  # c_0 = m0 * 2**scale; the recurrence is homogeneous, so 2**lift leaves it
+    a0, terms = math.ldexp(a0, lift), [(float((n + 1) * i), math.ldexp(a, lift - j * i)) for i, a in enumerate(rest, 1)]
+    over = max(0, math.frexp(sum(a for _, a in terms))[1] - 1)  # scaled entries may sum past 1
+    hi_exp = math.frexp(a0)[1] + 1017 - width - over  # so t / (k a0) <= 2**1019
     hi = math.ldexp(1.0, hi_exp)
     target = (hi_exp - 1022) // 2  # a rescaled window has as much room above as down to the subnormals
-    m0, scale = _frexp_power(a0, n)  # c_0 = m0 * 2**scale
     scale -= target
     acc = math.ldexp(m0, target)
     window = deque([acc], maxlen=len(terms))  # c_{k-1}, c_{k-2}, ..., scaled; c_{k-i} = 0 for k < i
@@ -338,9 +347,11 @@ def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float
             window = deque([math.ldexp(c, -shift) for c in window], maxlen=len(terms))
             v, acc, scale = math.ldexp(v, -shift), math.ldexp(acc, -shift), scale + shift
         window.appendleft(v)
+        if j:
+            acc = math.ldexp(acc, -j)
         acc += v
     m, e = math.frexp(acc)  # log(acc) + scale ln 2 would round differently where the rescales fall
-    return min(math.log(m) + (scale + e) * _LOG2, 0.0)
+    return min(math.log(m) + (scale + e + j * (w - 1)) * _LOG2, 0.0)
 
 
 def exact_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float:

@@ -63,6 +63,9 @@ def _build_config(args) -> tuple[SystemConfig, list[PolicyKind]]:
     config = SystemConfig(gamma=gamma, omega=omega, n0=args.n0, k=args.k, depth=args.depth, w=args.w, w_s=args.ws)
     if args.command in ("analytic", "simulate"):
         policies[0].check_users(config.k)
+    levels = build_ladder(config.gamma, config.n0, config.depth).levels if args.command == "ladder" else ()
+    if math.inf in levels:  # checked before --out is opened; a policy treats an infinite level as unaffordable
+        raise ValueError(f"the received power of level {levels.index(math.inf) + 1} of {config.depth} overflows")
     return config, policies
 
 

@@ -19,8 +19,8 @@ _prefix_counts.  Multi-level gains come with the level on the last axis, so
 a caller that passes np.moveaxis(level_major, 0, -1) hands the kernel one
 contiguous slab per level.  The symmetric and FO kernels can take their
 deeper levels from a callable instead, which draws each level only for the
-slots that are still within budget.  Counts come back in the narrowest
-unsigned integer dtype that holds the policy's per-slot cap.
+slots that are still within budget.  Gains are only read; counts come back
+new, in the narrowest unsigned integer dtype that holds the per-slot cap.
 """
 
 from dataclasses import dataclass
@@ -85,36 +85,36 @@ class PolicyKind:
         return k_channels if self.variant == "fo" else self.depth
 
 
-def oma_packet_counts(own, rho1, omega, out=None):
-    """Packet counts per slot for OMA; `own` is an array of own-channel gains (see _prefix_counts for `out`)."""
-    return _prefix_counts((own,), (rho1,), omega, out=out)
+def oma_packet_counts(own, rho1, omega):
+    """Packet counts per slot for OMA; `own` is an array of own-channel gains."""
+    return _prefix_counts((own,), (rho1,), omega)
 
 
-def symmetric_packet_counts(gains, rhos, omega, deeper=None, out=None):
+def symmetric_packet_counts(gains, rhos, omega, deeper=None):
     """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet, at cost rhos[l].
 
     `gains` holds the first levels; the rest of `rhos`, if any, come from
-    `deeper` (see _prefix_counts, also for `out`).
+    `deeper` (see _prefix_counts).
     """
-    return _prefix_counts(np.moveaxis(gains, -1, 0), rhos, omega, deeper, out)
+    return _prefix_counts(np.moveaxis(gains, -1, 0), rhos, omega, deeper)
 
 
-def sdo_packet_counts(own, best, rho1, rho2, omega, out=None):
-    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot (see _prefix_counts for `out`)."""
-    return _prefix_counts((own, best), (rho1, rho2), omega, out=out)
+def sdo_packet_counts(own, best, rho1, rho2, omega):
+    """Packet counts for SDO-NOMA; `best` is the best cross gain of each slot."""
+    return _prefix_counts((own, best), (rho1, rho2), omega)
 
 
-def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None, out=None):
+def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None):
     """Packet counts for FO-NOMA over the m cross gains of each slot (m defaults to top.shape[-1]).
 
     top[..., j] holds the best of them in descending order; the rest come
-    from `deeper` (see _prefix_counts, also for `out`).
+    from `deeper` (see _prefix_counts).
     """
     m = np.shape(top)[-1] if m is None else m
-    return _prefix_counts((own, *np.moveaxis(top, -1, 0)), (rho1,) + (rho2,) * m, omega, deeper, out)
+    return _prefix_counts((own, *np.moveaxis(top, -1, 0)), (rho1,) + (rho2,) * m, omega, deeper)
 
 
-def _prefix_counts(levels, rhos, omega, deeper=None, out=None):
+def _prefix_counts(levels, rhos, omega, deeper=None):
     """Per slot, the number of leading levels whose running cost, the sum of rhos[l] / levels[l], is <= omega.
 
     levels[l] holds the level-(l+1) gains of every slot; the levels of the
@@ -123,22 +123,16 @@ def _prefix_counts(levels, rhos, omega, deeper=None, out=None):
     call, or into the flattened slots on its first.  Costs are positive, so
     the running cost rises and a slot over budget stays over: the count is
     the number of running sums <= omega, and a deeper level is drawn only
-    for the slots still within budget.  Counts have dtype
-    np.min_scalar_type(len(rhos)).  With `out`, of that dtype, the caller
-    hands over its float64 levels as scratch for costs and masks, so
-    C-contiguous levels cost no allocation; else the kernel works on
-    copies and returns new counts.
+    for the slots still within budget.  The gains are only read; the counts
+    are a new array of dtype np.min_scalar_type(len(rhos)).
     """
     if len(levels) > len(rhos):
         raise ValueError(f"gains for {len(levels)} levels but costs for only {len(rhos)}")
-    if out is None:
-        levels = [np.array(g, dtype=float) for g in levels]
-        out = np.empty(levels[0].shape, np.min_scalar_type(len(rhos)))
-    spent = np.divide(rhos[0], levels[0], out=levels[0])
-    n = fits = np.less_equal(spent, omega, out=out)
+    spent = np.divide(rhos[0], levels[0], dtype=float)
+    n = fits = np.less_equal(spent, omega, out=np.empty(spent.shape, np.min_scalar_type(len(rhos))))
     for rho, g in zip(rhos[1:], levels[1:]):
-        spent += np.divide(rho, g, out=g)
-        fits = np.less_equal(spent, omega, out=_as_mask(g))
+        spent += np.divide(rho, g, dtype=float)
+        fits = spent <= omega
         n += fits
     rest = rhos[len(levels) :]
     if not len(rest):
@@ -146,8 +140,7 @@ def _prefix_counts(levels, rhos, omega, deeper=None, out=None):
     if deeper is None:
         raise ValueError(f"no gains for the last {len(rest)} levels")
     alive = np.flatnonzero(fits)
-    keep, spent = alive, spent.reshape(-1)[alive]
-    counts = n.ravel()
+    keep, spent, counts = alive, spent.reshape(-1)[alive], n.reshape(-1)  # n is new, so counts is a view of it
     for rho in rest:
         if not alive.size:
             break
@@ -155,10 +148,4 @@ def _prefix_counts(levels, rhos, omega, deeper=None, out=None):
         keep = np.flatnonzero(spent <= omega)
         alive, spent = alive[keep], spent[keep]
         counts[alive] += 1
-    return counts.reshape(n.shape)
-
-
-def _as_mask(spent_gains):
-    """A bool array of the shape of a float array whose values are spent, in its memory."""
-    flat = spent_gains.ravel()  # a copy, not a view, if the array is not contiguous
-    return flat.view(np.bool_)[: flat.size].reshape(spent_gains.shape)
+    return n

@@ -14,9 +14,9 @@ policy's packet count.  Policies that nest slot by slot on one stream
 each member's counts are its family's deepest member's, capped.
 
 A run of batches, one per worker, reuses one workspace for the dense
-levels' gains, running costs, masks and counts; only the survivors of
-deeper levels (FO, symmetric L >= 3) are compacted into new arrays.  At
-W_S = 55 a 1,000-session batch keeps a level in 0.44 MB, within L2.
+levels' gains and nothing else; the kernels return new counts, and the
+survivors of deeper levels (FO, symmetric L >= 3) are compacted into new
+arrays.  At W_S = 55 a 1,000-session batch keeps a level in 0.44 MB.
 """
 
 import math
@@ -46,13 +46,13 @@ class SessionStats:
 
 
 class _Workspace(dict):
-    """Flat buffers by (name, dtype); a run's first batch is its largest, so each is allocated once."""
+    """Flat float64 gain buffers by name; a run's first batch is its largest, so each is allocated once."""
 
-    def take(self, name, shape, dtype=np.float64):
-        size, key = math.prod(shape), (name, np.dtype(dtype))
-        if key not in self or self[key].size < size:
-            self[key] = np.empty(size, dtype)
-        return self[key][:size].reshape(shape)
+    def take(self, name, shape):
+        size = math.prod(shape)
+        if name not in self or self[name].size < size:
+            self[name] = np.empty(size)
+        return self[name][:size].reshape(shape)
 
 
 class DescendingCrossGains:
@@ -89,28 +89,26 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     shape.  Deeper levels (symmetric l >= 3, FO's further cross gains) are
     drawn only for the slots that afforded every level before them.  SDO
     and FO share the same draws, so SDO's count is FO's capped at 2.  The
-    gains, running costs and counts of the dense levels live in the
-    workspace `ws` (a new one if None), and the counts returned are a view
-    of it, good until its next batch.
+    gains of the dense levels live in the workspace `ws` (a new one if
+    None), good until its next batch; the counts returned are the kernel's
+    own new array.
     """
     ws = _Workspace() if ws is None else ws
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
-    counts = ws.take("counts", shape, np.min_scalar_type(policy.max_packets(config.k)))
     if policy.variant == "sym":
         dense = (min(policy.depth, 2),) + shape
         gains = draw_exponential(stream, 1.0, dense, out=ws.take("levels", dense))
         return policies.symmetric_packet_counts(
-            np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size),
-            out=counts,
+            np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size)
         )
     own = draw_exponential(stream, 1.0, shape, out=ws.take("own", shape))
     if policy.variant == "oma":
-        return policies.oma_packet_counts(own, rho[0], omega, out=counts)
+        return policies.oma_packet_counts(own, rho[0], omega)
     cross = DescendingCrossGains(stream, config.k - 1, shape, ws.take("a", shape), ws.take("best", shape))
     if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
-        return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega, out=counts)
-    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1, out=counts)
+        return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega)
+    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1)
 
 
 def _families(policies, k: int):

@@ -596,15 +596,14 @@ def test_log_session_error_tiny_alpha0(a0, rest):
         assert log_p == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="coefficients far below the newest drop into the subnormals when alpha_0 and alpha_1 are both "
-    "tiny: off by -2.398 in ln p at (10, 10) and by -4.111 at (10, 60)",
-)
-def test_log_session_error_tiny_alpha0_and_alpha1():
-    probs = (1e-300, 1e-300, 0.5, 0.5 - 2e-300)
-    for w_s in (10, 60):
-        spec = SessionSpec(10, w_s)
+@pytest.mark.parametrize("depth", [3, 4, 5, 6])
+@pytest.mark.parametrize("a", [1e-300, 1e-250])
+def test_log_session_error_tiny_alpha0_and_alpha1(a, depth):
+    # the coefficients grow by ~2**498 per step at a = 1e-300; unscaled, the older window entries fell
+    # into the subnormals, and at depth 3 ln p was off by -2.398 at (10, 10) and by -4.111 at (10, 60)
+    probs = (a, a) + ((1.0 - 2.0 * a) / (depth - 1),) * (depth - 1)
+    for w, w_s in ((10, 10), (10, 60), (200, 400), (50, 10**5)):
+        spec = SessionSpec(w, w_s)
         oracle = float(_mp_log_session_error(probs, spec))
         assert log_session_error(PacketCountDistribution(probs), spec) == pytest.approx(oracle, rel=1e-12)
 

@@ -40,6 +40,19 @@ def test_ladder_json_matches_csv(capsys):
     assert all(r["sinr"] == pytest.approx(4.0) for r in payload["rows"])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ladder_overflow_is_exit_2(tmp_path, capsys, fmt):
+    # rho_l = 4 * 5**(l - 1) passes the double range at level 442; CSV printed inf and nan rows
+    path = tmp_path / f"ladder.{fmt}"
+    path.write_text("kept\n")
+    argv = ["ladder", "--gamma", "4", "--omega", "20", "--depth", "445", "--format", fmt, "--out", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and err == "error: the received power of level 442 of 445 overflows\n"
+    assert path.read_text() == "kept\n"  # rejected before --out is opened
+    code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "441", "--format", fmt])
+    assert code == 0 and "inf" not in out.lower() and "nan" not in out.lower()
+
+
 def test_gamma_db_conversion(capsys):
     # 10 log10(4) dB should reproduce the linear gamma=4 ladder
     db = 10 * math.log10(4.0)

@@ -44,10 +44,12 @@ def _fresh(code, argv):
         ["simulate", "--policy", "fo"],
         ["ladder", "--depth", "3"],
         ["analytic", "--policy", "oma"],
+        ["analytic", "--policy", "oma", "--gamma", "1e-10", "--omega", "1e300"],  # alpha_0 = 0, no root to seek
     ],
 )
 def test_command_imports_no_scipy(argv):
-    code, scipy_modules = json.loads(_fresh(SCIPY_PROBE, [*argv, *COMMON, "--trials", "1000"]).stdout)
+    command, *flags = argv  # the flags come after COMMON, so that they can override it
+    code, scipy_modules = json.loads(_fresh(SCIPY_PROBE, [command, *COMMON, *flags, "--trials", "1000"]).stdout)
     assert code == 0 and scipy_modules == []
 
 

@@ -297,19 +297,19 @@ def test_mean_packets_nondecreasing_in_depth():
     assert all(b >= a for a, b in zip(means, means[1:]))
 
 
-def _fo_level_major(gains, out):
-    return fo_packet_counts(gains[0], np.moveaxis(gains[1:], 0, -1), 1.0, 1e-3, 1e3, out=out)
+def _fo_level_major(gains):
+    return fo_packet_counts(gains[0], np.moveaxis(gains[1:], 0, -1), 1.0, 1e-3, 1e3)
 
 
-def _sym_level_major(gains, out):
-    return symmetric_packet_counts(np.moveaxis(gains, 0, -1), np.full(len(gains), 1e-3), 1e3, out=out)
+def _sym_level_major(gains):
+    return symmetric_packet_counts(np.moveaxis(gains, 0, -1), np.full(len(gains), 1e-3), 1e3)
 
 
 @pytest.mark.parametrize(
     "kernel,depth,dtype",
     [
-        (lambda g, out: oma_packet_counts(g[0], 4.0, 20.0, out=out), 1, np.uint8),
-        (lambda g, out: sdo_packet_counts(g[0], g[1], 4.0, 20.0, 20.0, out=out), 2, np.uint8),
+        (lambda g: oma_packet_counts(g[0], 4.0, 20.0), 1, np.uint8),
+        (lambda g: sdo_packet_counts(g[0], g[1], 4.0, 20.0, 20.0), 2, np.uint8),
         (_fo_level_major, 3, np.uint8),
         (_fo_level_major, 256, np.uint16),
         (_sym_level_major, 3, np.uint8),
@@ -320,13 +320,32 @@ def _sym_level_major(gains, out):
 def test_count_dtype_holds_the_cap(kernel, depth, dtype):
     # one place picks the dtype, np.min_scalar_type of the level count: uint8 up to 255 levels
     gains = np.random.default_rng(8).exponential(1, (depth, 4, 50))
-    dense = kernel(gains.copy(), None)
-    assert dense.dtype == dtype and dense.shape == (4, 50)
-    assert dense.max() == depth  # the full depth is sent and fits the dtype
-    out = np.empty((4, 50), dtype)
-    given = kernel(gains, out)
-    assert np.shares_memory(given, out) and given.dtype == dtype
-    assert np.array_equal(given, dense)
+    counts = kernel(gains)
+    assert counts.dtype == dtype and counts.shape == (4, 50)
+    assert counts.max() == depth  # the full depth is sent and fits the dtype
+
+
+def test_kernels_leave_their_gains_as_they_were():
+    # the kernels are pure: every gain array reads back bit for bit after the call
+    rng = np.random.default_rng(40)
+    own, levels = rng.exponential(1, (30, 200)), rng.exponential(1, (30, 200, 4))
+    top = -np.sort(-rng.exponential(1, (30, 200, 4)), axis=-1)
+    rhos, feed = np.asarray(build_ladder(1, 1, 4).levels), lazy_feed(levels[..., 1:])
+    calls = [  # each public kernel, dense and with `deeper`: (name, its gain arrays, the call)
+        ("oma", (own,), lambda: oma_packet_counts(own, 4.0, 20.0)),
+        ("sdo", (own, top), lambda: sdo_packet_counts(own, top[..., 0], 4.0, 20.0, 20.0)),
+        ("sym", (levels,), lambda: symmetric_packet_counts(levels, rhos, 50.0)),
+        ("sym-deeper", (levels,), lambda: symmetric_packet_counts(levels[..., :2], rhos, 50.0, feed)),
+        ("fo", (own, top), lambda: fo_packet_counts(own, top, 1.0, 2.0, 20.0)),
+        ("fo-deeper", (own, top), lambda: fo_packet_counts(own, top[..., :1], 1.0, 2.0, 20.0, lazy_feed(top), 4)),
+    ]
+    for name, gains, call in calls:
+        before = [g.copy() for g in gains]
+        counts = call()
+        assert counts.any(), name
+        for g, b in zip(gains, before):
+            assert np.array_equal(g.view(np.uint64), b.view(np.uint64)), name
+            assert not np.shares_memory(counts, g), name
 
 
 def test_more_gain_levels_than_costs_is_rejected():
