@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _LAMBDA_MAX = 700.0  # exp underflow limit for the Chernoff search
+_LOG2 = math.log(2.0)
 
 
 # --- special function helpers ---------------------------------------------
@@ -56,38 +57,124 @@ def beta2_symmetric(rho1: float, rho2: float, omega: float) -> float:
     return math.exp(-(rho1 + rho2) / omega) * x_k1(x)
 
 
+def _newton_root(f, lo: float, hi: float, x: float, tol: float) -> float:
+    """Root of an increasing f in [lo, hi], f(lo) <= 0 <= f(hi), from x in the bracket.
+
+    f(x) returns (value, derivative).  A Newton step that would leave the bracket, which each
+    value of f shrinks, or that is not half the step before last, becomes a bisection
+    (Numerical Recipes' rtsafe): so it converges wherever f is monotone, quadratically near
+    the root, and stops after a step of at most tol.
+    """
+    before = last = hi - lo
+    for _ in range(200):  # a guard only: the roots sought here took at most 17 steps over wide random scans
+        value, slope = f(x)
+        if value < 0.0:
+            lo = x
+        elif value > 0.0:
+            hi = x
+        else:
+            return x
+        new = x - value / slope if slope > 0.0 else math.nan
+        if not lo <= new <= hi or abs(new - x) > 0.5 * before:
+            new = 0.5 * (lo + hi)
+        before, last = last, abs(new - x)
+        if last <= tol:
+            return new
+        x = new
+    return x
+
+
+def _log1mexp(y: float) -> float:
+    """log(1 - e^-y) for y > 0 without cancellation at either end (Maechler's log1mexp)."""
+    return math.log(-math.expm1(-y)) if y <= _LOG2 else math.log1p(-math.exp(-y))
+
+
 def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
     """Probability of two packets under selection diversity over K-1 other channels.
 
     The far packet rides the best of m = K-1 cross gains, with density
     m e^{-y} (1 - e^{-y})^{m-1}; given y > y0 = rho2/omega, the own gain covers
     the rest of the budget with probability exp(-rho1/omega - a/(y - y0)),
-    a = rho1*rho2/omega^2.  Adaptive Gauss-Kronrod quadrature (QUADPACK), to
-    1e-12 relative, integrates the product in u = log(y - y0), since the
-    second factor's rise, of width ~a, is decades below the density's scale
-    when the budget is large.
+    a = rho1*rho2/omega^2.  In u = log(y - y0) the product decays double-exponentially
+    at both ends and rises once, to a peak at e^u > 1 that Newton's method finds, so the
+    plain trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM Review 56,
+    2014).  It runs over the window where the log integrand is within 45 nats of its
+    peak, scaled by the peak, from a step of half the peak's curvature width, halving
+    the step until two successive sums agree to 1e-14.  At a = 0 the own gain's factor
+    is exp(-rho1/omega) wherever y > y0, which leaves Pr(best cross gain > y0) in closed form.
     """
-    if rho1 <= 0 or rho2 <= 0 or omega <= 0:
+    if not (rho1 > 0 and rho2 > 0 and omega > 0):  # NaN too: it would reach the window's point count
         raise ValueError("rho1, rho2 and omega must be positive")
     if k_users < 2:
         raise ValueError(f"k_users must be at least 2, got {k_users}")
-    from scipy import integrate  # imported on first use, as in x_k1
+    m = float(k_users - 1)
+    c, y0 = rho1 / omega, rho2 / omega
+    a = c * rho2 / omega
+    if math.isinf(c + y0 + a):
+        return 0.0
+    if a == 0.0:
+        return math.exp(-c) * (-math.expm1(m * _log1mexp(y0)) if y0 > 0.0 else 1.0)
+    log_m = math.log(m)
 
-    m = k_users - 1
-    y0 = rho2 / omega
-    a = rho1 * y0 / omega
-
-    def integrand(u):  # the integrand in y times dy/du, at y = y0 + e^u
-        if abs(u) > 700.0:  # e^u would overflow; the integrand there is below m*e^-700
-            return 0.0
+    def log_integrand(u):  # at y = y0 + e^u, with its first two derivatives in u
         s = math.exp(u)
         y = y0 + s
-        # log(1 - e^{-y}) without cancellation at either end (Maechler's log1mexp)
-        log_cdf = math.log1p(-math.exp(-y)) if y > math.log(2.0) else math.log(-math.expm1(-y))
-        return m * math.exp((m - 1) * log_cdf - y - rho1 / omega - a / s + u)
+        cdf = -math.expm1(-y)
+        q = s * math.exp(-y) / cdf  # s / (e^y - 1)
+        r = a / s
+        value = log_m + (m - 1.0) * _log1mexp(y) - y - c - r + u
+        return value, 1.0 + r - s + (m - 1.0) * q, -r - s + (m - 1.0) * q * (1.0 - s / cdf)
 
-    value, _ = integrate.quad(integrand, -math.inf, math.inf, epsabs=0.0, epsrel=1e-12)
-    return min(max(value, 0.0), 1.0)
+    def descent(u):
+        _, slope, curvature = log_integrand(u)
+        return -slope, -curvature
+
+    # the slope is positive for e^u <= 1, falls beyond, and is negative past e^u = big; the
+    # curvature at the peak is at most -1
+    big = 3.0 + math.sqrt(a) + 2.0 * math.log1p(m)
+    start = math.log(min(max(1.0, log_m - y0, math.sqrt(a)), big))
+    peak = _newton_root(descent, 0.0, math.log(big), start, 1e-9)
+    top, _, curvature = log_integrand(peak)
+    if top < -800.0:  # below the double range whatever the window's width
+        return 0.0
+    width = 1.0 / math.sqrt(-curvature)
+    floor = top - 45.0
+
+    def rise(u):
+        value, slope, _ = log_integrand(u)
+        return value - floor, slope
+
+    def fall(u):
+        value, slope, _ = log_integrand(u)
+        return floor - value, -slope
+
+    # left of u = -1 the slope exceeds 0.63, and past e^u = 3 big + 50 the log integrand has
+    # fallen by more than 45 from e^u = big + 1: both ends bracket the 45-nat window; a
+    # parabola of the peak's curvature falls by 45 at sqrt(90) = 9.5 widths, the first guess
+    left = _newton_root(rise, -75.0, peak, max(peak - 9.5 * width, -75.0), 0.1 * width)
+    hi = math.log(3.0 * big + 50.0)
+    right = _newton_root(fall, peak, hi, min(peak + 9.5 * width, hi), 0.1 * width)
+    shift = log_m - c - y0 - top
+
+    def scaled(u):  # the integrand over e^top, on an array, with _log1mexp's two branches
+        s = np.exp(u)
+        y = y0 + s
+        log_cdf = np.where(
+            y > _LOG2, np.log1p(-np.exp(-np.maximum(y, _LOG2))), np.log(-np.expm1(-np.minimum(y, _LOG2)))
+        )
+        return np.exp((m - 1.0) * log_cdf - s - a / s + u + shift)
+
+    n = max(8, math.ceil(2.0 * (right - left) / width))
+    h = (right - left) / n
+    ends = scaled(np.linspace(left, right, n + 1))
+    total = h * (float(ends.sum()) - 0.5 * float(ends[0] + ends[-1]))
+    for _ in range(12):
+        finer = 0.5 * total + 0.5 * h * float(scaled(left + h * (np.arange(n) + 0.5)).sum())
+        h, n = 0.5 * h, 2 * n
+        if abs(finer - total) <= 1e-14 * finer:
+            break
+        total = finer
+    return min(max(math.exp(top) * finer, 0.0), 1.0)
 
 
 # --- packet-count distributions -------------------------------------------
@@ -99,16 +186,17 @@ class PacketCountDistribution:
 
     probs: tuple[float, ...]
 
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.size < 1:
+    def __post_init__(self):  # on floats: every grid point builds laws of a few entries
+        p = self.probs
+        if len(p) < 1:
             raise ValueError("probs must be non-empty")
-        if not np.isfinite(p).all():  # NaN passes every comparison below
+        if not all(math.isfinite(x) for x in p):  # NaN passes every comparison below
             raise ValueError(f"probabilities must be finite: {self.probs}")
-        if (p < -1e-12).any() or (p > 1 + 1e-12).any():
+        if any(x < -1e-12 or x > 1 + 1e-12 for x in p):
             raise ValueError(f"probabilities outside [0,1]: {self.probs}")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {p.sum()}")
+        total = sum(p)
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities must sum to 1, got {total}")
 
     @property
     def max_packets(self) -> int:
@@ -177,36 +265,38 @@ _INFEASIBLE = ChernoffResult(bound=1.0, lambda_star=0.0, feasible=False)
 def chernoff_generic(dist: PacketCountDistribution, spec: SessionSpec) -> ChernoffResult:
     """Numerically minimized Chernoff bound for any packet-count law, estimated ones included.
 
-    lambda* is the root, by Brent's method on [0, _LAMBDA_MAX], of the convex log objective's
-    derivative kappa - E_lambda[V] (the mean of the law tilted by exp(-lambda*V)), or the cap if
-    the derivative is still negative there.  The same tilted weights give the bound,
+    lambda* is the root on [0, _LAMBDA_MAX] of the convex log objective's derivative
+    kappa - E_lambda[V] (the mean of the law tilted by exp(-lambda*V)), or the cap if the
+    derivative is still negative there.  That derivative rises with lambda at the rate of the
+    tilted variance, so Newton's method finds the root, each step guarded by bisection inside
+    the bracket.  The same tilted weights give the bound,
     exp(w_s (kappa lambda* + log sum_m p_m exp(-lambda* m))).  A law with Pr(V = 0) = 0 never
     fails a slot: the objective sum_m p_m exp(-(m - kappa) lambda) falls, as lambda* -> inf, to
     Pr(V = 1) when kappa = 1 and to 0 when kappa < 1.  The closed forms take this limit from here.
     """
     kappa = spec.kappa
-    probs = np.asarray(dist.probs, dtype=float)
-    ms = np.arange(len(probs))
+    probs = dist.probs
 
-    def tilted(lam):  # the m = 0 weight keeps the sum >= alpha_0 > 0 once the law can fail
-        return probs * np.exp(-lam * ms)
+    def tilted(lam):  # sum of the tilted weights, and kappa - E_lambda[V] with its derivative
+        total = first = second = 0.0  # the m = 0 weight keeps total >= alpha_0 > 0 once the law can fail
+        for m, p in enumerate(probs):
+            weight = p * math.exp(-lam * m)
+            total += weight
+            first += m * weight
+            second += m * m * weight
+        mean = first / total
+        return total, kappa - mean, second / total - mean * mean
 
-    def slope(lam):
-        weights = tilted(lam)
-        return kappa - float(ms @ weights) / float(weights.sum())
-
-    if slope(0.0) >= 0.0:  # E[V] <= kappa
+    if tilted(0.0)[1] >= 0.0:  # E[V] <= kappa
         return _INFEASIBLE
     if probs[0] <= 0.0:
         bound = float(probs[1]) ** spec.w_s if spec.w == spec.w_s else 0.0
         return ChernoffResult(bound=bound, lambda_star=math.inf, feasible=True)
-    if slope(_LAMBDA_MAX) <= 0.0:
+    if tilted(_LAMBDA_MAX)[1] <= 0.0:
         lam_star = _LAMBDA_MAX
     else:
-        from scipy import optimize  # imported where the root is sought, so the early exits load no scipy
-
-        lam_star = optimize.brentq(slope, 0.0, _LAMBDA_MAX, xtol=1e-15)
-    log_bound = spec.w_s * (kappa * lam_star + math.log(float(tilted(lam_star).sum())))
+        lam_star = _newton_root(lambda lam: tilted(lam)[1:], 0.0, _LAMBDA_MAX, 0.0, 4.0 * math.ulp(_LAMBDA_MAX))
+    log_bound = spec.w_s * (kappa * lam_star + math.log(tilted(lam_star)[0]))
     return ChernoffResult(bound=min(math.exp(log_bound), 1.0), lambda_star=lam_star, feasible=True)
 
 
@@ -273,9 +363,6 @@ def noma_factor(alpha0: float, alpha2_bar: float) -> NomaFactor:
 
 
 # --- exact session error --------------------------------------------------
-
-
-_LOG2 = math.log(2.0)
 
 
 def _frexp_power(a: float, n: int) -> tuple[float, int]:

@@ -16,6 +16,7 @@ from smddc import (
     beta1,
     beta2_sdo,
     beta2_symmetric,
+    build_ladder,
     chernoff_generic,
     chernoff_noma2,
     chernoff_oma,
@@ -135,6 +136,11 @@ def test_beta2_sdo_rejects_bad_k():
         beta2_sdo(4, 20, 20, 1)
 
 
+def test_beta2_sdo_rejects_nan():
+    with pytest.raises(ValueError, match="must be positive"):
+        beta2_sdo(math.nan, 20, 20, 3)
+
+
 @functools.lru_cache(maxsize=None)
 def _alternating_sum_term(m, rho1, rho2, omega):
     """exp(-(rho1 + m*rho2)/omega) x K1(x), x = 2 sqrt(m rho1 rho2)/omega, at 80 digits;
@@ -161,6 +167,40 @@ def beta2_sdo_alternating_sum(rho1, rho2, omega, k_users):
 @pytest.mark.parametrize("k", [2, 3, 8, 40, 52, 60, 64, 65, 120])
 def test_beta2_sdo_matches_high_precision_alternating_sum(omega, k):
     assert beta2_sdo(4.0, 20.0, omega, k) == pytest.approx(beta2_sdo_alternating_sum(4.0, 20.0, omega, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("rho1, rho2, omega", [(30.0, 930.0, 2.0), (1.0, 2.0, 0.01)])
+def test_beta2_sdo_far_below_one_matches_alternating_sum(rho1, rho2, omega, k):
+    # beta_2 ~ 1e-280 at Gamma = 30, Omega = 2 and ~ 1e-252 at Gamma = 1, Omega = 0.01: the integrand is scaled
+    # by its peak, and its narrow peak must be found, not sampled
+    value = beta2_sdo(rho1, rho2, omega, k)
+    assert 1e-290 < value < 1e-250
+    assert value == pytest.approx(beta2_sdo_alternating_sum(rho1, rho2, omega, k), rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [0.5, 2.0, 20.0, 1e3, 1e5])
+@pytest.mark.parametrize("gamma", [1.0, 4.0, 30.0])
+def test_beta2_sdo_two_users_is_the_symmetric_closed_form(gamma, omega):
+    # one cross gain: the SDO integral is beta2_symmetric's x K1(x) form, which scipy's K1 computes independently
+    rho1, rho2 = build_ladder(gamma, 1.0, 2).levels
+    assert beta2_sdo(rho1, rho2, omega, 2) == pytest.approx(beta2_symmetric(rho1, rho2, omega), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        ((1e155, 1e160, 20.0, 3), 0.0),  # rho2 / omega and a overflow
+        ((4.0, 20.0, 1e300, 3), 1.0),  # a underflows to 0
+        ((4.0, 20.0, 1e-300, 3), 0.0),  # rho2 / omega overflows
+        ((1e-300, 1e-300, 20.0, 8), 1.0),  # a underflows, and y0 = 5e-302
+        ((4.0, 20.0, 20.0, 10**6), pytest.approx(0.8064931759990928, rel=1e-12)),  # the best of 999,999 gains
+        ((4.0, 20.0, 20.0, 10**300), pytest.approx(0.8184935946123002, rel=1e-12)),  # mpmath.quad, 30 digits
+    ],
+)
+def test_beta2_sdo_extremes(args, expected):
+    assert beta2_sdo(*args) == expected
 
 
 # --- packet count distributions -------------------------------------------
@@ -380,6 +420,27 @@ def test_laws_that_cannot_fail_agree(probs, w_s):
     if len(probs) == 3:
         results.append(chernoff_noma2(dist, spec))
     assert results == [expected] * len(results)
+
+
+def test_chernoff_generic_lambda_cap():
+    # alpha_0 = 1e-320: tilted by exp(-700 V) the law still has mean > kappa = 0.9, so lambda* stops at the cap
+    dist, spec = PacketCountDistribution((1e-320, 1.0)), SessionSpec(9, 10)
+    result = chernoff_generic(dist, spec)
+    with mpmath.workdps(40):
+        at_cap = mpmath.exp(10 * (mpmath.mpf("0.9") * 700 + mpmath.log(mpmath.mpf(1e-320) + mpmath.exp(-700))))
+    assert result.feasible and result.lambda_star == 700.0
+    assert result.bound == pytest.approx(float(at_cap), rel=1e-11)
+
+
+@pytest.mark.parametrize("probs", [(7.2e-22, 0.5726, 0.4144, 0.013), (1e-22, 0.6, 0.4), (1e-30, 0.5, 0.3, 0.2)])
+def test_chernoff_generic_flat_slope(probs):
+    # kappa = 1 and a tiny alpha_0: the tilted law is nearly all V = 1, so the slope is flat at lambda* and lambda*
+    # is ill-conditioned (it is off the oracle's by 1.2e-4 relative at alpha_0 = 1e-30); the bound, a minimum, is not
+    spec = SessionSpec(10, 10)
+    result = chernoff_generic(PacketCountDistribution(probs), spec)
+    bound, _ = _oracle_tilted_mean(probs, spec)
+    assert result.feasible and 0.0 < result.lambda_star < 700.0
+    assert abs(result.bound / bound - 1) <= 2e-12
 
 
 def test_chernoff_generic_infeasible_mean():
@@ -606,6 +667,15 @@ def test_log_session_error_tiny_alpha0_and_alpha1(a, depth):
         spec = SessionSpec(w, w_s)
         oracle = float(_mp_log_session_error(probs, spec))
         assert log_session_error(PacketCountDistribution(probs), spec) == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="no one power-of-two scaling holds a law this sparse above a subnormal alpha_0")
+def test_log_session_error_sparse_subnormal_law():
+    # the entries span more than the double range above alpha_0 = 5e-324: ln p reads -13455.2 against -13423.7
+    probs = (5e-324, 0.0, 2.0**-560, 0.0, 0.0, 1.0)
+    spec = SessionSpec(10, 20)
+    oracle = float(_mp_log_session_error(probs, spec))
+    assert log_session_error(PacketCountDistribution(probs), spec) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_log_session_error_zero_alpha0():

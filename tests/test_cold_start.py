@@ -1,6 +1,6 @@
-"""A fresh interpreter runs the Monte Carlo and ladder commands on numpy alone.
+"""A fresh interpreter runs the Monte Carlo, ladder, SDO and FO commands on numpy alone.
 
-scipy serves only the closed forms (K1, betainc, quad, brentq) and is
+scipy serves only K1 (symmetric beta_2) and the betainc oracle, and is
 imported on first use.  These checks run the CLI in a new process, one at a
 time: pytest itself imports scipy for its warning filters, so sys.modules here
 says nothing about a cold start.
@@ -45,6 +45,10 @@ def _fresh(code, argv):
         ["ladder", "--depth", "3"],
         ["analytic", "--policy", "oma"],
         ["analytic", "--policy", "oma", "--gamma", "1e-10", "--omega", "1e300"],  # alpha_0 = 0, no root to seek
+        ["analytic", "--policy", "sdo"],
+        ["analytic", "--policy", "fo"],
+        ["analytic", "--policy", "sym", "--depth", "3"],
+        ["sweep", "--policy", "sdo,fo", "--axis", "w_s", "--values", "50,55"],
     ],
 )
 def test_command_imports_no_scipy(argv):
@@ -58,8 +62,9 @@ def test_command_imports_no_scipy(argv):
     [["--policy", "sym", "--depth", "2"], ["--policy", "sdo"], ["--policy", "fo"], ["--policy", "oma"]],
 )
 def test_analytic_first_scipy_call_gives_the_same_bits(capsys, policy):
-    # the fresh process reaches each deferred import (x_k1, chernoff_generic,
-    # beta2_sdo) for the first time; this one has them loaded
+    # the fresh process reaches x_k1's deferred import of scipy.special for the
+    # first time at sym depth 2, and no scipy at all for the others; this one
+    # has it loaded
     argv = ["analytic", *COMMON, "--trials", "20000", *policy]
     fresh = _fresh(RUN_CLI, argv).stdout
     assert main(argv) == 0
