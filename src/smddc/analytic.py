@@ -25,7 +25,7 @@ def x_k1(x: float) -> float:
     This is the combination that appears in every beta_2-type formula and
     stays well-conditioned for small arguments where K1 itself blows up.
     """
-    if x < 0:
+    if not x >= 0:  # NaN fails too
         raise ValueError(f"x_k1 requires x >= 0, got {x}")
     if x < 1e-290:  # K1(x) ~ 1/x would overflow; the product is 1 to machine precision
         return 1.0
@@ -41,7 +41,7 @@ def x_k1(x: float) -> float:
 
 def beta1(rho1: float, omega: float) -> float:
     """Probability that the level-1 packet is affordable: exp(-rho1/omega)."""
-    if rho1 <= 0 or omega <= 0:
+    if not (rho1 > 0 and omega > 0):  # NaN fails too
         raise ValueError("rho1 and omega must be positive")
     return math.exp(-rho1 / omega)
 
@@ -51,7 +51,7 @@ def beta2_symmetric(rho1: float, rho2: float, omega: float) -> float:
 
     Closed form exp(-(rho1+rho2)/omega) * x*K1(x) with x = 2*sqrt(rho1*rho2)/omega.
     """
-    if rho1 <= 0 or rho2 <= 0 or omega <= 0:
+    if not (rho1 > 0 and rho2 > 0 and omega > 0):  # NaN fails too
         raise ValueError("rho1, rho2 and omega must be positive")
     x = 2.0 * math.sqrt(rho1) * math.sqrt(rho2) / omega  # rho1 * rho2 overflows long before its root
     return math.exp(-(rho1 + rho2) / omega) * x_k1(x)

@@ -19,19 +19,18 @@ class RngStream:
         self.generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
 
 
-def draw_exponential(stream: RngStream, mean: float, size=None, out=None):
-    """Draw Exp(mean) variates (density (1/mean) exp(-x/mean)) and return them.
+def draw_exponential(stream: RngStream, mean: float, size=None):
+    """Draw Exp(mean) variates (density (1/mean) exp(-x/mean)) into a new array.
 
-    With `out`, a C-contiguous float64 array (of shape `size`, if given),
-    the variates are drawn into it and it is returned; they are the same
-    bits as stream.generator.exponential(mean, size) would give.  Zero draws
-    are a measure-zero artifact of the underlying uniform generator and are
-    rejected by resampling, so every gain is positive.
+    They are the same bits as stream.generator.exponential(mean, size)
+    would give.  Zero draws are a measure-zero artifact of the underlying
+    uniform generator and are rejected by resampling through one reused
+    mask, so every gain is positive.
     """
-    if mean <= 0:
+    if not mean > 0:
         raise ValueError(f"mean must be positive, got {mean}")
     gen = stream.generator
-    out = gen.standard_exponential(size, out=out)
+    out = gen.standard_exponential(size)
     if mean != 1.0:
         out *= mean
     mask = None
@@ -41,17 +40,17 @@ def draw_exponential(stream: RngStream, mean: float, size=None, out=None):
     return out
 
 
-def gain_from_neg_log_cdf(a, out=None):
+def gain_from_neg_log_cdf(a):
     """The Exp(1) gain x at minus-log-CDF a = -log(1 - e^{-x}), for normal a < 709.
 
     x = -log(1 - e^{-a}) is log1mexp (Maechler, "Accurately computing
     log(1 - exp(-|a|))", 2012).  The plain -log(-expm1(-a)) loses digits as
     a grows and returns 0 from a ~ 36.7 on; the identity
     x = log1p(1 / expm1(a)) has no cancellation anywhere (each step keeps
-    its relative error) and needs no split, so it runs as three in-place
-    passes, into `out` if given.
+    its relative error) and needs no split, so it runs as one pass into a
+    new array and two in place on it.
     """
-    x = np.expm1(a, out=out)
+    x = np.expm1(a)
     np.reciprocal(x, out=x)
     np.log1p(x, out=x)
     return x

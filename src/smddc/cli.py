@@ -34,6 +34,8 @@ def _parse_values(text: str, as_int: bool):
             raise ValueError(f"range must be finite, got {text!r}")
         if step <= 0:
             raise ValueError("range step must be positive")
+        if round(start + step, 12) == round(start, 12):  # each point is rounded to 12 digits below
+            raise ValueError(f"range step {step!r} is lost when rounded to 12 digits, got {text!r}")
         count = math.floor((end - start) / step + 1e-9) + 1
         if count < 1:
             raise ValueError(f"range {text!r} holds no value")
@@ -145,14 +147,7 @@ def cmd_simulate(config: SystemConfig, policies, args, out) -> int:
     stats = estimate_session_error(policies[0], config, args.trials, seed=args.seed, workers=args.workers)
     elapsed = time.perf_counter() - t0
     print(f"simulate: {args.trials} sessions in {elapsed:.2f} s", file=sys.stderr)
-    row = {
-        "policy": policies[0].variant,
-        "trials": stats.trials,
-        "errors": stats.errors,
-        "p_hat": stats.p_hat,
-        "ci95_halfwidth": stats.ci95_halfwidth,
-        "seed": stats.seed,
-    }
+    row = {"policy": policies[0].variant, **asdict(stats)}
     _emit(args, out, {"command": "simulate", "config": _config_fields(config, args), "record": row}, [row])
     return 0
 

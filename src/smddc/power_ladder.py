@@ -27,9 +27,9 @@ class PowerLadder:
 
 def build_ladder(gamma: float, n0: float, depth: int) -> PowerLadder:
     """Build the power ladder by the SINR recursion rho_l = gamma*(sum_{m<l} rho_m + n0)."""
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails too
         raise ValueError(f"gamma must be positive, got {gamma}")
-    if n0 <= 0:
+    if not n0 > 0:
         raise ValueError(f"n0 must be positive, got {n0}")
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")

@@ -13,10 +13,10 @@ policy's packet count.  Policies that nest slot by slot on one stream
 (OMA, SDO and FO; OMA and symmetric depths) share one draw per batch:
 each member's counts are its family's deepest member's, capped.
 
-A run of batches, one per worker, reuses one workspace for the dense
-levels' gains and nothing else; the kernels return new counts, and the
-survivors of deeper levels (FO, symmetric L >= 3) are compacted into new
-arrays.  At W_S = 55 a 1,000-session batch keeps a level in 0.44 MB.
+Every draw and every kernel returns a new array, and the survivors of
+deeper levels (FO, symmetric L >= 3) are compacted into new arrays; only
+the cap of a family's counts works in place.  At W_S = 55 a 1,000-session
+batch keeps a level in 0.44 MB.
 """
 
 import math
@@ -45,16 +45,6 @@ class SessionStats:
     seed: int
 
 
-class _Workspace(dict):
-    """Flat float64 gain buffers by name; a run's first batch is its largest, so each is allocated once."""
-
-    def take(self, name, shape):
-        size = math.prod(shape)
-        if name not in self or self[name].size < size:
-            self[name] = np.empty(size)
-        return self[name][:size].reshape(shape)
-
-
 class DescendingCrossGains:
     """The m = K-1 cross gains of each slot, drawn from the top down, level by level.
 
@@ -63,16 +53,15 @@ class DescendingCrossGains:
     a_{j+1} = a_j + E_{j+1}/(m-j) are minus the logs of the CDF values of
     the m gains in descending order, and the level-j gain is
     gain_from_neg_log_cdf(a_j).  `best`, the top level, is drawn for every
-    slot of `shape`, into the arrays `a` and `best` if given.  Each call
-    draws the next level only for the slots `keep` (indices into the slots
-    of the previous level, flattened), so a level depends only on the levels
-    above it.
+    slot of `shape`.  Each call draws the next level only for the slots
+    `keep` (indices into the slots of the previous level, flattened), so a
+    level depends only on the levels above it.
     """
 
-    def __init__(self, stream: RngStream, m: int, shape, a=None, best=None):
+    def __init__(self, stream: RngStream, m: int, shape):
         self._stream, self._m, self._level = stream, m, 1
-        self._a = draw_exponential(stream, 1.0 / m, shape, out=a)
-        self.best = gain_from_neg_log_cdf(self._a, out=best)
+        self._a = draw_exponential(stream, 1.0 / m, shape)
+        self.best = gain_from_neg_log_cdf(self._a)
 
     def __call__(self, keep):
         self._a = a = self._a.reshape(-1)[keep]  # the level above is not needed any more
@@ -81,7 +70,7 @@ class DescendingCrossGains:
         return gain_from_neg_log_cdf(a)
 
 
-def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape, ws=None):
+def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape):
     """Vectorized per-slot packet counts over an array of slots of the given shape.
 
     Every slot draws its own gain and, for SDO and FO, its best cross gain;
@@ -89,23 +78,20 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     shape.  Deeper levels (symmetric l >= 3, FO's further cross gains) are
     drawn only for the slots that afforded every level before them.  SDO
     and FO share the same draws, so SDO's count is FO's capped at 2.  The
-    gains of the dense levels live in the workspace `ws` (a new one if
-    None), good until its next batch; the counts returned are the kernel's
-    own new array.
+    counts returned are the kernel's own new array.
     """
-    ws = _Workspace() if ws is None else ws
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
     if policy.variant == "sym":
         dense = (min(policy.depth, 2),) + shape
-        gains = draw_exponential(stream, 1.0, dense, out=ws.take("levels", dense))
+        gains = draw_exponential(stream, 1.0, dense)
         return policies.symmetric_packet_counts(
             np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size)
         )
-    own = draw_exponential(stream, 1.0, shape, out=ws.take("own", shape))
+    own = draw_exponential(stream, 1.0, shape)
     if policy.variant == "oma":
         return policies.oma_packet_counts(own, rho[0], omega)
-    cross = DescendingCrossGains(stream, config.k - 1, shape, ws.take("a", shape), ws.take("best", shape))
+    cross = DescendingCrossGains(stream, config.k - 1, shape)
     if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
         return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega)
     return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1)
@@ -131,16 +117,16 @@ def _families(policies, k: int):
 
 
 def _run_batches(policies, config: SystemConfig, seed: int, jobs):
-    """Session errors of each policy, one list per batch (b, n) of `jobs`, all in one workspace.
+    """Session errors of each policy, one list per batch (b, n) of `jobs`.
 
     Each batch draws once per nested family; the members, deepest first,
     cap the driver's counts in place.
     """
-    families, ws, per_batch = _families(policies, config.k), _Workspace(), []
+    families, per_batch = _families(policies, config.k), []
     for b, n_sessions in jobs:
         errors = [0] * len(policies)
         for driver, members in families:
-            counts = _slot_counts(driver, config, RngStream(seed, b), (config.w_s, n_sessions), ws)
+            counts = _slot_counts(driver, config, RngStream(seed, b), (config.w_s, n_sessions))
             for i in members:
                 cap = policies[i].max_packets(config.k)
                 if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
@@ -226,8 +212,8 @@ def estimate_alphas(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     max_n = policy.max_packets(config.k)
-    freq, ws = np.zeros(max_n + 1, dtype=np.int64), _Workspace()
+    freq = np.zeros(max_n + 1, dtype=np.int64)
     for b, n in _batches(trials, batch_size):
-        counts = _slot_counts(policy, config, RngStream(seed, b), (n,), ws)
+        counts = _slot_counts(policy, config, RngStream(seed, b), (n,))
         freq += np.bincount(counts, minlength=max_n + 1)
     return PacketCountDistribution(tuple((freq / trials).tolist()))

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from smddc import (
     ChernoffResult,
     PacketCountDistribution,
+    RngStream,
     SessionSpec,
     alphas_from_betas,
     beta1,
@@ -20,6 +21,7 @@ from smddc import (
     chernoff_generic,
     chernoff_noma2,
     chernoff_oma,
+    draw_exponential,
     exact_session_error,
     log_session_error,
     mean_packets,
@@ -139,6 +141,24 @@ def test_beta2_sdo_rejects_bad_k():
 def test_beta2_sdo_rejects_nan():
     with pytest.raises(ValueError, match="must be positive"):
         beta2_sdo(math.nan, 20, 20, 3)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: beta1(math.nan, 20.0), "rho1 and omega must be positive"),
+        (lambda: beta2_symmetric(math.nan, 20.0, 20.0), "rho1, rho2 and omega must be positive"),
+        (lambda: build_ladder(math.nan, 1.0, 2), "gamma must be positive, got nan"),
+        (lambda: build_ladder(4.0, math.nan, 2), "n0 must be positive, got nan"),
+        (lambda: draw_exponential(RngStream(1), math.nan, 3), "mean must be positive, got nan"),
+        (lambda: x_k1(math.nan), "x_k1 requires x >= 0, got nan"),
+    ],
+    ids=["beta1", "beta2_symmetric", "ladder_gamma", "ladder_n0", "draw_mean", "x_k1"],
+)
+def test_public_validators_reject_nan(call, message):
+    # NaN passes every `x <= 0` check and came back as a NaN result
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @functools.lru_cache(maxsize=None)

@@ -50,21 +50,19 @@ def test_invalid_mean():
 def test_draw_into_buffer_matches_generator(mean):
     # means 1 and 1/m, m = K-1 for K = 3 and 8: the same bits as the generator's own draw
     size = (2, 55, 300)
-    buf = np.empty(size)
-    got = draw_exponential(RngStream(14, 2), mean, size, out=buf)
-    assert got is buf
+    got = draw_exponential(RngStream(14, 2), mean, size)
     assert got.tobytes() == RngStream(14, 2).generator.exponential(mean, size).tobytes()
 
 
 def test_zero_draws_are_redrawn_through_one_mask(monkeypatch):
     # the generator is made to return zeros, and zeros again on two redraws:
     # every zero is redrawn until none is left, and the passes share one
-    # mask (a new mask per pass would double the peak)
+    # mask (a new mask per pass would double the peak above the output)
     n, redraws, real = 10**6, [], RngStream(15).generator
 
     class ZeroingGenerator:
-        def standard_exponential(self, size=None, out=None):
-            out = real.standard_exponential(size, out=out)
+        def standard_exponential(self, size=None):
+            out = real.standard_exponential(size)
             out[::1000] = 0.0
             return out
 
@@ -77,16 +75,15 @@ def test_zero_draws_are_redrawn_through_one_mask(monkeypatch):
 
     stream = RngStream(15)
     monkeypatch.setattr(stream, "generator", ZeroingGenerator())
-    buf = np.empty(n)
     tracemalloc.start()
     try:
-        got = draw_exponential(stream, 0.5, out=buf)
+        got = draw_exponential(stream, 0.5, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got is buf and (got > 0).all()
+    assert (got > 0).all()
     assert redraws == [1000, 500, 250]
-    assert peak < 1.5 * n  # one bool mask of n bytes
+    assert peak - got.nbytes < 1.5 * n  # the output and one bool mask of n bytes
 
 
 def test_max_cross_gain_cdf():

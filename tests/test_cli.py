@@ -219,6 +219,20 @@ def test_sweep_empty_or_unbounded_range_is_exit_2(capsys, values, message):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("values, step", [("1:1e-13:1.000000000001", "1e-13"), ("1:1e-300:2", "1e-300")])
+def test_sweep_range_step_lost_to_rounding_is_exit_2(capsys, values, step):
+    # points are rounded to 12 digits: the first gave 11 points of 2 values,
+    # the second asks for about 1e300 points and never ended
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
+        "--axis", "omega", "--values", values, "--trials", "2000",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: range step {step} is lost when rounded to 12 digits, got {values!r}\n"
+    assert smddc.cli._parse_values("50:5:70", True) == [50, 55, 60, 65, 70]
+
+
 def test_sweep_range_values_do_not_drift():
     # value i is start + i*step, not a running sum of steps
     assert smddc.cli._parse_values("0:0.1:1000", False) == [i / 10 for i in range(10001)]

@@ -279,9 +279,9 @@ def _fresh_errors(policy, cfg, seed, batch_index, n_sessions):
     ],
     ids=["cross", "own"],
 )
-def test_reused_workspace_carries_nothing_between_batches(cfg, policies):
-    # 3 full batches and a 1-session tail run through one workspace (per
-    # worker); each must count as if its arrays were new
+def test_batches_of_a_run_carry_nothing_between_them(cfg, policies):
+    # 3 full batches and a 1-session tail run one after another (per
+    # worker); each must count as if it ran alone
     batch, seed = 1_000, 24
     sizes = [batch, batch, batch, 1]
     fresh = [sum(_fresh_errors(p, cfg, seed, b, n) for b, n in enumerate(sizes)) for p in policies]
