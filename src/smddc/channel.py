@@ -19,7 +19,7 @@ class RngStream:
         self.generator = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_index))))
 
 
-def draw_exponential(stream: RngStream, mean: float, size=None):
+def draw_exponential(stream: RngStream, mean: float, size):
     """Draw Exp(mean) variates (density (1/mean) exp(-x/mean)) into a new array.
 
     They are the same bits as stream.generator.exponential(mean, size)

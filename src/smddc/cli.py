@@ -19,7 +19,9 @@ from . import analytic
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import build_ladder, sinr_at_level
-from .simulator import estimate_alphas, estimate_session_error, estimate_session_errors
+from .simulator import estimate_alphas, estimate_session_error, estimate_session_error_curves
+
+MAX_RANGE_POINTS = 10**6
 
 
 def _parse_values(text: str, as_int: bool):
@@ -39,6 +41,8 @@ def _parse_values(text: str, as_int: bool):
         count = math.floor((end - start) / step + 1e-9) + 1
         if count < 1:
             raise ValueError(f"range {text!r} holds no value")
+        if count > MAX_RANGE_POINTS:
+            raise ValueError(f"range {text!r} holds {count} values, more than {MAX_RANGE_POINTS}")
         values = []
         for i in range(count):
             value = round(start + i * step, 12)
@@ -75,14 +79,16 @@ def _config_fields(config: SystemConfig, args) -> dict:
     return {**asdict(config), "policy": args.policy, "trials": args.trials, "seed": args.seed}
 
 
-def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed: int) -> dict:
+def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, laws: dict) -> dict:
     """All analytic quantities for one configuration.
 
     Closed forms cover OMA, symmetric depth <= 2 (depth 1 is OMA), and SDO;
     for symmetric depth > 2 and FO the packet-count law is estimated by
     simulation from (trials, seed) and fed to the generic Chernoff
     minimizer (no exact value is reported then, since the law itself is
-    an estimate).  The exact session error comes with its log10, which stays
+    an estimate).  The law does not depend on w_s, so `laws` keeps each
+    estimate by (policy, config with w_s = w) for the caller's later
+    points.  The exact session error comes with its log10, which stays
     finite below the double range where exact_p_se reads 0.0; it is None
     when the session cannot fail (Pr(V = 0) = 0).
     """
@@ -93,7 +99,10 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
 
     closed_form = policy.variant != "fo" and policy.depth <= 2
     if not closed_form:
-        dist = estimate_alphas(policy, config, trials, seed=seed)
+        key = (policy, replace(config, w_s=config.w))
+        if key not in laws:
+            laws[key] = estimate_alphas(policy, config, trials, seed=seed)
+        dist = laws[key]
         cb = analytic.chernoff_generic(dist, spec)
     elif policy.depth == 1:
         dist = analytic.alphas_from_betas([b1])
@@ -134,7 +143,7 @@ def cmd_ladder(config: SystemConfig, policies, args, out) -> int:
 
 
 def cmd_analytic(config: SystemConfig, policies, args, out) -> int:
-    record = _analytic_record(policies[0], config, args.trials, args.seed)
+    record = _analytic_record(policies[0], config, args.trials, args.seed, {})
     payload = {"command": "analytic", "config": _config_fields(config, args), "record": record}
     row = dict(record)
     row["alphas"] = ";".join(repr(a) for a in record["alphas"])
@@ -174,13 +183,13 @@ _SWEEP_RESULT_KEYS = (
 
 
 def cmd_sweep(config: SystemConfig, policies, args, out) -> int:
-    """One row per value per policy; the rows of one point config share one draw."""
+    """One row per value per policy; the rows of one scenario (the point config but w_s) share one draw."""
     if args.workers < 1:  # before any point's analytic record is computed
         raise ValueError(f"workers must be at least 1, got {args.workers}")
     values = _parse_values(args.values, as_int=args.axis in ("w_s", "k", "depth"))
     fields = {k: v for k, v in _config_fields(config, args).items() if k not in ("policy", "depth")}
-    rows = []
-    groups = {}  # point config -> [(row, policy, analytic record)]
+    rows, laws = [], {}
+    groups = {}  # scenario -> [(row, policy, w_s, analytic record)]
     t0 = time.perf_counter()
     for value in values:
         for policy in policies:
@@ -192,16 +201,17 @@ def cmd_sweep(config: SystemConfig, policies, args, out) -> int:
             try:
                 point, point_policy = _apply_axis(config, policy, args.axis, value)
                 row["k"] = point.k
-                record = _analytic_record(point_policy, point, args.trials, args.seed)
+                record = _analytic_record(point_policy, point, args.trials, args.seed, laws)
             except (ValueError, ArithmeticError) as exc:
                 row["error"] = str(exc)
                 continue
-            groups.setdefault(point, []).append((row, point_policy, record))
-    for point, members in groups.items():
-        all_stats = estimate_session_errors(
-            [policy for _, policy, _ in members], point, args.trials, seed=args.seed, workers=args.workers
-        )
-        for (row, _, record), stats in zip(members, all_stats, strict=True):
+            groups.setdefault(replace(point, w_s=point.w), []).append((row, point_policy, point.w_s, record))
+    for scenario, members in groups.items():
+        kinds = list(dict.fromkeys(policy for _, policy, _, _ in members))
+        lengths = list(dict.fromkeys(w_s for _, _, w_s, _ in members))
+        curves = estimate_session_error_curves(kinds, scenario, lengths, args.trials, args.seed, args.workers)
+        for row, policy, w_s, record in members:
+            stats = curves[lengths.index(w_s)][kinds.index(policy)]
             record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
             row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
     elapsed = time.perf_counter() - t0

@@ -6,10 +6,11 @@ A batch draws its gains for slots of shape (w_s, sessions), one level at a
 time and each deeper level only for the slots still within budget, and the
 vectorized policy kernels turn them into per-slot packet counts of shape
 (w_s, sessions); a session fails when its counts, summed over the leading
-w_s axis, come to less than w.  Every transmitted packet
-is decoded (power control meets the SINR target exactly and SIC is
-error-free under perfect CSI), so the per-slot success count is just the
-policy's packet count.  Policies that nest slot by slot on one stream
+w_s axis, come to less than w.  The counts do not depend on w_s, so
+several session lengths share one draw for the longest: a shorter session
+is a prefix of its slots.  Every transmitted packet is decoded (power
+control meets the SINR target exactly and SIC is error-free under perfect
+CSI), so the per-slot success count is just the policy's packet count.  Policies that nest slot by slot on one stream
 (OMA, SDO and FO; OMA and symmetric depths) share one draw per batch:
 each member's counts are its family's deepest member's, capped.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import policies
-from .analytic import PacketCountDistribution
+from .analytic import PacketCountDistribution, SessionSpec
 from .channel import RngStream, draw_exponential, gain_from_neg_log_cdf
 from .config import SystemConfig
 from .policies import PolicyKind
@@ -116,25 +117,30 @@ def _families(policies, k: int):
     return [(policies[members[0]], members) for members in families if members]
 
 
-def _run_batches(policies, config: SystemConfig, seed: int, jobs):
-    """Session errors of each policy, one list per batch (b, n) of `jobs`.
+def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
+    """Session errors, shape (len(lengths), len(policies)), summed over the batches (b, n) of `jobs`.
 
-    Each batch draws once per nested family; the members, deepest first,
-    cap the driver's counts in place.
+    Each batch draws once per nested family, for the longest session; the
+    members, deepest first, cap the driver's counts in place, and each of
+    the ascending `lengths` adds its slots since the previous one to a
+    running total.
     """
-    families, per_batch = _families(policies, config.k), []
+    families = _families(policies, config.k)
+    errors = np.zeros((len(lengths), len(policies)), dtype=np.int64)
     for b, n_sessions in jobs:
-        errors = [0] * len(policies)
         for driver, members in families:
-            counts = _slot_counts(driver, config, RngStream(seed, b), (config.w_s, n_sessions))
+            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions))
             for i in members:
                 cap = policies[i].max_packets(config.k)
                 if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
                     np.minimum(counts, cap, out=counts)
-                totals = counts.sum(axis=0, dtype=np.min_scalar_type(config.w_s * cap))
-                errors[i] = int(np.count_nonzero(totals < config.w))
-        per_batch.append(errors)
-    return per_batch
+                dtype = np.min_scalar_type(lengths[-1] * cap)
+                totals, prev = np.zeros(n_sessions, dtype), 0
+                for j, w_s in enumerate(lengths):
+                    totals += counts[prev:w_s].sum(axis=0, dtype=dtype)
+                    prev = w_s
+                    errors[j, i] += np.count_nonzero(totals < config.w)
+    return errors
 
 
 def _batches(trials: int, batch_size: int):
@@ -142,6 +148,59 @@ def _batches(trials: int, batch_size: int):
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     for b, start in enumerate(range(0, trials, batch_size)):
         yield b, min(batch_size, trials - start)
+
+
+def estimate_session_error_curves(
+    policies,
+    config: SystemConfig,
+    w_s_values,
+    trials: int,
+    seed: int = 0,
+    workers: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+) -> list[list[SessionStats]]:
+    """Monte Carlo session error estimates: one list per w_s of `w_s_values`, one SessionStats per policy.
+
+    config.w_s is not read: the per-slot counts do not depend on it, so a
+    w_s-slot session is the first w_s slots of the longest one.  Each batch
+    draws once per nested family (see _families), for the longest session,
+    from the substream (seed, b).  Every estimate is unbiased over `trials`
+    independent sessions; the estimates at different lengths are paired
+    (common random numbers), so each policy's error count is non-increasing
+    in w_s, and only those at the longest length equal a call with it
+    alone.  Deterministic given (seed, trials, config, w_s_values,
+    batch_size) for any number of workers: batches map to fixed substreams,
+    each worker runs one contiguous run of them, and the merge is a plain
+    sum.  Every policy and every length is checked before any batch runs.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    policies, w_s_values = list(policies), list(w_s_values)
+    lengths = sorted(set(w_s_values))
+    if not lengths:
+        raise ValueError("w_s_values holds no session length")
+    for w_s in lengths:
+        SessionSpec(config.w, w_s)  # raises unless w_s >= w >= 1
+    for policy in policies:
+        policy.check_users(config.k)
+    jobs = list(_batches(trials, batch_size))
+    if workers > 1 and len(jobs) > 1:
+        size = -(-len(jobs) // workers)  # one contiguous run of batches per worker
+        runs = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:  # a fork pool starts all its workers at once
+            futures = [pool.submit(_run_batches, policies, config, lengths, seed, run) for run in runs]
+            errors = sum(f.result() for f in futures)
+    else:
+        errors = _run_batches(policies, config, lengths, seed, jobs)
+
+    def stats(n_errors):
+        p_hat = n_errors / trials
+        ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+        return SessionStats(trials=trials, errors=n_errors, p_hat=p_hat, ci95_halfwidth=ci, seed=seed)
+
+    return [[stats(n) for n in errors[lengths.index(w_s)].tolist()] for w_s in w_s_values]
 
 
 def estimate_session_errors(
@@ -152,37 +211,13 @@ def estimate_session_errors(
     workers: int = 1,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> list[SessionStats]:
-    """Monte Carlo estimates of the session error probability, one per policy, in order.
+    """Monte Carlo estimates of the session error probability at config.w_s, one per policy, in order.
 
     Each batch draws once per nested family (see _families) from the
-    substream (seed, b), so every estimate equals that of a separate call
-    at the same seed.  Deterministic given (seed, trials, config,
-    batch_size) for any number of workers: batches map to fixed substreams,
-    each worker runs one contiguous run of them, and the merge is a plain
-    sum.  Every policy is checked against config.k before any batch runs.
+    substream (seed, b), so every policy's estimate equals that of a call
+    with it alone at the same seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    policies = list(policies)
-    for policy in policies:
-        policy.check_users(config.k)
-    jobs = list(_batches(trials, batch_size))
-    if workers > 1 and len(jobs) > 1:
-        size = -(-len(jobs) // workers)  # one contiguous run of batches per worker
-        runs = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-        with ProcessPoolExecutor(max_workers=len(runs)) as pool:  # a fork pool starts all its workers at once
-            futures = [pool.submit(_run_batches, policies, config, seed, run) for run in runs]
-            per_batch = [errors for f in futures for errors in f.result()]
-    else:
-        per_batch = _run_batches(policies, config, seed, jobs)
-    results = []
-    for errors in map(sum, zip(*per_batch)):
-        p_hat = errors / trials
-        ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
-        results.append(SessionStats(trials=trials, errors=errors, p_hat=p_hat, ci95_halfwidth=ci, seed=seed))
-    return results
+    return estimate_session_error_curves(policies, config, (config.w_s,), trials, seed, workers, batch_size)[0]
 
 
 def estimate_session_error(

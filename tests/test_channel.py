@@ -178,3 +178,9 @@ def test_gain_from_neg_log_cdf_numerics():
     for ai, xi in zip(a, x):
         ref = neg_log1mexp_50_digits(ai)
         assert abs(xi - ref) <= 1e-12 * ref, (ai, xi, ref)
+
+
+def test_draw_needs_a_size():
+    # a scalar draw raised AttributeError on the zero check; every caller draws an array
+    with pytest.raises(TypeError, match="size"):
+        draw_exponential(RngStream(1), 1.0)

@@ -4,7 +4,14 @@ import math
 import pytest
 
 import smddc.cli
-from smddc import PacketCountDistribution, SessionSpec, beta1, beta2_sdo, chernoff_generic, estimate_session_errors
+from smddc import (
+    PacketCountDistribution,
+    SessionSpec,
+    beta1,
+    beta2_sdo,
+    chernoff_generic,
+    estimate_session_error_curves,
+)
 from smddc.cli import main
 
 
@@ -197,6 +204,64 @@ def test_sweep_shared_draws_match_simulate(capsys):
         assert row[i_p] == sim_row[sim_header.index("p_hat")]
 
 
+def _p_hats(rows):
+    curves = {}
+    for row in rows:
+        curves.setdefault(row["policy"], []).append(float(row["p_hat"]))
+    return curves
+
+
+def test_sweep_ws_rows_are_non_increasing_in_ws(capsys):
+    # the rows of one scenario share one draw, so a longer session fails only
+    # where a shorter one did; independent rows would cross here (SDO reads
+    # 0.001 at W_S = 56 and 0.0015 at 57 from separate draws)
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--policy", "oma,sdo,fo",
+        "--axis", "w_s", "--values", "55,56,57", "--trials", "2000", "--seed", "4",
+    ]
+    code, out, _ = run_cli(capsys, argv)
+    curves = _p_hats(_csv_rows(out))
+    assert code == 0 and sorted(curves) == ["fo", "oma", "sdo"]
+    for p_hats in curves.values():
+        assert len(p_hats) == 3 and all(a >= b for a, b in zip(p_hats, p_hats[1:])), p_hats
+
+
+def test_sweep_ws_longest_row_matches_simulate(capsys):
+    common = ["--gamma", "4", "--omega", "15", "--k", "3", "--trials", "20001", "--seed", "5"]
+    sweep = ["sweep", *common, "--policy", "oma,sdo,fo", "--axis", "w_s"]
+    code, out, _ = run_cli(capsys, [*sweep, "--values", "55,60,50"])
+    assert code == 0
+    rows = _csv_rows(out)
+    assert [row["w_s"] for row in rows] == ["55"] * 3 + ["60"] * 3 + ["50"] * 3
+    for row in rows[3:6]:
+        _, sim, _ = run_cli(capsys, ["simulate", *common, "--policy", row["policy"], "--ws", "60"])
+        (sim_row,) = _csv_rows(sim)
+        assert (row["p_hat"], row["ci95_halfwidth"]) == (sim_row["p_hat"], sim_row["ci95_halfwidth"])
+    # a one-value sweep is one engine call at that length, with the bits it always had
+    code, out, _ = run_cli(capsys, [*sweep, "--values", "55"])
+    assert code == 0 and [row["p_hat"] for row in _csv_rows(out)] == [
+        "0.9949002549872507", "0.24813759312034397", "0.2433378331083446",
+    ]
+
+
+def test_sweep_estimates_each_law_once_per_scenario(capsys, monkeypatch):
+    # FO's and sym 3's laws do not depend on w_s: one estimate each serves every W_S point
+    calls, estimate_alphas = [], smddc.cli.estimate_alphas
+
+    def counted(policy, config, *args, **kwargs):
+        calls.append(policy.variant)
+        return estimate_alphas(policy, config, *args, **kwargs)
+
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--depth", "3", "--policy", "fo,sym,oma",
+        "--axis", "w_s", "--values", "50,55,60", "--trials", "2000", "--format", "json",
+    ]
+    code, expected, _ = run_cli(capsys, argv)
+    monkeypatch.setattr(smddc.cli, "estimate_alphas", counted)
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out == expected and sorted(calls) == ["fo", "sym"]
+
+
 def test_sweep_integer_axis_rejects_fractional_range(capsys):
     argv = [
         "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
@@ -236,6 +301,19 @@ def test_sweep_range_step_lost_to_rounding_is_exit_2(capsys, values, step):
 def test_sweep_range_values_do_not_drift():
     # value i is start + i*step, not a running sum of steps
     assert smddc.cli._parse_values("0:0.1:1000", False) == [i / 10 for i in range(10001)]
+
+
+def test_sweep_range_of_too_many_points_is_exit_2(capsys):
+    # about 1e11 points: the loop appended them until memory ran out
+    argv = [
+        "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
+        "--axis", "omega", "--values", "1:1e-11:2", "--trials", "2000",
+    ]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: range '1:1e-11:2' holds 100000000001 values, more than 1000000\n"
+    assert len(smddc.cli._parse_values("0:0.1:1000", False)) == 10_001
+    assert len(smddc.cli._parse_values("1:1:1000000", True)) == 10**6
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -291,14 +369,14 @@ def test_sweep_point_with_failing_record_is_not_simulated(capsys, monkeypatch):
 
     def engine(policies, config, *args, **kwargs):
         simulated.extend((p.variant, config.k) for p in policies)
-        return estimate_session_errors(policies, config, *args, **kwargs)
+        return estimate_session_error_curves(policies, config, *args, **kwargs)
 
     def beta2_sdo_failing_at_65(rho1, rho2, omega, k_users):
         if k_users == 65:
             raise ValueError("beta2_sdo fails at k=65")
         return beta2_sdo(rho1, rho2, omega, k_users)
 
-    monkeypatch.setattr(smddc.cli, "estimate_session_errors", engine)
+    monkeypatch.setattr(smddc.cli, "estimate_session_error_curves", engine)
     monkeypatch.setattr(smddc.cli.analytic, "beta2_sdo", beta2_sdo_failing_at_65)
     argv = [
         "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--policy", "oma,sdo",

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from smddc import (
     beta2_symmetric,
     estimate_alphas,
     estimate_session_error,
+    estimate_session_error_curves,
     estimate_session_errors,
     exact_session_error,
     mean_packets,
@@ -289,3 +291,40 @@ def test_batches_of_a_run_carry_nothing_between_them(cfg, policies):
     for workers in (1, 2):
         stats = estimate_session_errors(policies, cfg, sum(sizes), seed=seed, workers=workers, batch_size=batch)
         assert [s.errors for s in stats] == fresh
+
+
+@pytest.mark.parametrize("batch_size", [1_000, 777])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "cfg,policies",
+    [
+        (SystemConfig(gamma=4, omega=20, k=3, w=50), [PolicyKind.oma(), PolicyKind.sdo(), PolicyKind.fo()]),
+        (
+            SystemConfig(gamma=0.5, omega=1.5, k=6, w=50),
+            [PolicyKind.oma()] + [PolicyKind.symmetric(depth) for depth in range(1, 5)],
+        ),
+    ],
+    ids=["cross", "own"],
+)
+def test_curves_count_prefixes_of_one_draw(cfg, policies, workers, batch_size):
+    # every length reads the first w_s slots of each batch's one draw for
+    # the longest session; lengths come unsorted and repeated
+    w_s_values, trials, seed = (57, 50, 55, 50), 3_001, 25
+    curves = estimate_session_error_curves(policies, cfg, w_s_values, trials, seed, workers, batch_size)
+    expected = np.zeros((len(w_s_values), len(policies)), dtype=np.int64)
+    for b, start in enumerate(range(0, trials, batch_size)):
+        n = min(batch_size, trials - start)
+        for i, policy in enumerate(policies):
+            counts = _slot_counts(policy, cfg, RngStream(seed, b), (max(w_s_values), n))
+            for j, w_s in enumerate(w_s_values):
+                expected[j, i] += np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w)
+    assert [[s.errors for s in stats] for stats in curves] == expected.tolist()
+    assert len(set(expected.ravel().tolist())) > len(policies)  # the lengths are told apart
+    longest = replace(cfg, w_s=max(w_s_values))
+    assert curves[0] == estimate_session_errors(policies, longest, trials, seed, workers, batch_size)
+
+
+@pytest.mark.parametrize("w_s_values, message", [((55, 49), "need w_s >= w >= 1"), ((), "holds no session length")])
+def test_curves_reject_invalid_lengths(w_s_values, message):
+    with pytest.raises(ValueError, match=message):
+        estimate_session_error_curves([PolicyKind.oma()], CFG, w_s_values, trials=100)
