@@ -27,13 +27,7 @@ from .channel import RngStream, draw_exponential
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import PowerLadder, build_ladder, sinr_at_level
-from .simulator import (
-    SessionStats,
-    estimate_alphas,
-    estimate_session_error,
-    estimate_session_error_curves,
-    estimate_session_errors,
-)
+from .simulator import SessionStats, estimate_alphas, estimate_session_error, estimate_session_error_curves
 
 __all__ = [
     "ChernoffResult",
@@ -58,7 +52,6 @@ __all__ = [
     "estimate_alphas",
     "estimate_session_error",
     "estimate_session_error_curves",
-    "estimate_session_errors",
     "exact_session_error",
     "log_session_error",
     "mean_packets",

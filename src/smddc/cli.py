@@ -38,7 +38,10 @@ def _parse_values(text: str, as_int: bool):
             raise ValueError("range step must be positive")
         if round(start + step, 12) == round(start, 12):  # each point is rounded to 12 digits below
             raise ValueError(f"range step {step!r} is lost when rounded to 12 digits, got {text!r}")
-        count = math.floor((end - start) / step + 1e-9) + 1
+        span = (end - start) / step
+        if span == math.inf:
+            raise ValueError(f"range {text!r} holds more than {MAX_RANGE_POINTS} values")
+        count = math.floor(max(span, -1.0) + 1e-9) + 1  # floor(-inf) would raise OverflowError
         if count < 1:
             raise ValueError(f"range {text!r} holds no value")
         if count > MAX_RANGE_POINTS:
@@ -67,11 +70,6 @@ def _build_config(args) -> tuple[SystemConfig, list[PolicyKind]]:
     names = [name.strip() for name in args.policy.split(",")] if args.command == "sweep" else [args.policy]
     policies = [PolicyKind.named(name, args.depth) for name in names]
     config = SystemConfig(gamma=gamma, omega=omega, n0=args.n0, k=args.k, depth=args.depth, w=args.w, w_s=args.ws)
-    if args.command in ("analytic", "simulate"):
-        policies[0].check_users(config.k)
-    levels = build_ladder(config.gamma, config.n0, config.depth).levels if args.command == "ladder" else ()
-    if math.inf in levels:  # checked before --out is opened; a policy treats an infinite level as unaffordable
-        raise ValueError(f"the received power of level {levels.index(math.inf) + 1} of {config.depth} overflows")
     return config, policies
 
 
@@ -132,32 +130,35 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     return record
 
 
-def cmd_ladder(config: SystemConfig, policies, args, out) -> int:
+def cmd_ladder(config: SystemConfig, policies, args) -> int:
     ladder = build_ladder(config.gamma, config.n0, config.depth)
+    if math.inf in ladder.levels:  # a policy treats an infinite level as unaffordable
+        level = ladder.levels.index(math.inf) + 1
+        raise ValueError(f"the received power of level {level} of {config.depth} overflows")
     rows = [
         {"level": l, "rho": rho, "sinr": sinr_at_level(ladder, l)}
         for l, rho in enumerate(ladder.levels, start=1)
     ]
-    _emit(args, out, {"command": "ladder", "config": _config_fields(config, args), "rows": rows}, rows)
+    _emit(args, {"command": "ladder", "config": _config_fields(config, args), "rows": rows}, rows)
     return 0
 
 
-def cmd_analytic(config: SystemConfig, policies, args, out) -> int:
+def cmd_analytic(config: SystemConfig, policies, args) -> int:
     record = _analytic_record(policies[0], config, args.trials, args.seed, {})
     payload = {"command": "analytic", "config": _config_fields(config, args), "record": record}
     row = dict(record)
     row["alphas"] = ";".join(repr(a) for a in record["alphas"])
-    _emit(args, out, payload, [row])
+    _emit(args, payload, [row])
     return 0
 
 
-def cmd_simulate(config: SystemConfig, policies, args, out) -> int:
+def cmd_simulate(config: SystemConfig, policies, args) -> int:
     t0 = time.perf_counter()
     stats = estimate_session_error(policies[0], config, args.trials, seed=args.seed, workers=args.workers)
     elapsed = time.perf_counter() - t0
-    print(f"simulate: {args.trials} sessions in {elapsed:.2f} s", file=sys.stderr)
     row = {"policy": policies[0].variant, **asdict(stats)}
-    _emit(args, out, {"command": "simulate", "config": _config_fields(config, args), "record": row}, [row])
+    _emit(args, {"command": "simulate", "config": _config_fields(config, args), "record": row}, [row])
+    print(f"simulate: {args.trials} sessions in {elapsed:.2f} s", file=sys.stderr)
     return 0
 
 
@@ -182,7 +183,7 @@ _SWEEP_RESULT_KEYS = (
 )
 
 
-def cmd_sweep(config: SystemConfig, policies, args, out) -> int:
+def cmd_sweep(config: SystemConfig, policies, args) -> int:
     """One row per value per policy; the rows of one scenario (the point config but w_s) share one draw."""
     if args.workers < 1:  # before any point's analytic record is computed
         raise ValueError(f"workers must be at least 1, got {args.workers}")
@@ -208,28 +209,33 @@ def cmd_sweep(config: SystemConfig, policies, args, out) -> int:
             groups.setdefault(replace(point, w_s=point.w), []).append((row, point_policy, point.w_s, record))
     for scenario, members in groups.items():
         kinds = list(dict.fromkeys(policy for _, policy, _, _ in members))
-        lengths = list(dict.fromkeys(w_s for _, _, w_s, _ in members))
+        lengths = {w_s for _, _, w_s, _ in members}
         curves = estimate_session_error_curves(kinds, scenario, lengths, args.trials, args.seed, args.workers)
         for row, policy, w_s, record in members:
-            stats = curves[lengths.index(w_s)][kinds.index(policy)]
+            stats = curves[w_s][kinds.index(policy)]
             record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
             row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
     elapsed = time.perf_counter() - t0
+    _emit(args, {"command": "sweep", "config": _config_fields(config, args), "rows": rows}, rows)
     print(f"sweep: {len(rows)} points in {elapsed:.2f} s", file=sys.stderr)
-    _emit(args, out, {"command": "sweep", "config": _config_fields(config, args), "rows": rows}, rows)
     return 0
 
 
-def _emit(args, out, json_payload: dict, csv_rows: list[dict]):
+def _emit(args, json_payload: dict, csv_rows: list[dict]):
+    """Write the data to stdout or --out; --out is opened only here, so a command that fails leaves it as it was."""
     if args.format == "json":
-        out.write(json.dumps(json_payload, indent=2, sort_keys=True, allow_nan=False))
-        out.write("\n")
+        text = json.dumps(json_payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(csv_rows)
+        text = buf.getvalue()
+    if not args.out:
+        sys.stdout.write(text)
         return
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(csv_rows)
-    out.write(buf.getvalue())
+    with open(args.out, "w", newline="") as out:
+        out.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,10 +286,9 @@ def main(argv=None) -> int:
         config, policies = _build_config(args)
         if args.trials < 1:
             raise ValueError(f"trials must be at least 1, got {args.trials}")
-        if args.out:
-            with open(args.out, "w", newline="") as out:
-                return handler(config, policies, args, out)
-        return handler(config, policies, args, sys.stdout)
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
+        return handler(config, policies, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

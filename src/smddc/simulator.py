@@ -10,9 +10,10 @@ w_s axis, come to less than w.  The counts do not depend on w_s, so
 several session lengths share one draw for the longest: a shorter session
 is a prefix of its slots.  Every transmitted packet is decoded (power
 control meets the SINR target exactly and SIC is error-free under perfect
-CSI), so the per-slot success count is just the policy's packet count.  Policies that nest slot by slot on one stream
-(OMA, SDO and FO; OMA and symmetric depths) share one draw per batch:
-each member's counts are its family's deepest member's, capped.
+CSI), so the per-slot success count is just the policy's packet count.
+Policies that nest slot by slot on one stream (OMA, SDO and FO; OMA and
+symmetric depths) share one draw per batch: each member's counts are its
+family's deepest member's, capped.
 
 Every draw and every kernel returns a new array, and the survivors of
 deeper levels (FO, symmetric L >= 3) are compacted into new arrays; only
@@ -158,8 +159,8 @@ def estimate_session_error_curves(
     seed: int = 0,
     workers: int = 1,
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> list[list[SessionStats]]:
-    """Monte Carlo session error estimates: one list per w_s of `w_s_values`, one SessionStats per policy.
+) -> dict[int, list[SessionStats]]:
+    """Monte Carlo session error estimates: for each distinct w_s of `w_s_values`, one SessionStats per policy.
 
     config.w_s is not read: the per-slot counts do not depend on it, so a
     w_s-slot session is the first w_s slots of the longest one.  Each batch
@@ -167,18 +168,18 @@ def estimate_session_error_curves(
     from the substream (seed, b).  Every estimate is unbiased over `trials`
     independent sessions; the estimates at different lengths are paired
     (common random numbers), so each policy's error count is non-increasing
-    in w_s, and only those at the longest length equal a call with it
-    alone.  Deterministic given (seed, trials, config, w_s_values,
-    batch_size) for any number of workers: batches map to fixed substreams,
-    each worker runs one contiguous run of them, and the merge is a plain
-    sum.  Every policy and every length is checked before any batch runs.
+    in w_s.  Each policy's estimate at the longest length equals that of a
+    call with that policy alone at the same seed.  Deterministic given
+    (seed, trials, config, w_s_values, batch_size) for any number of
+    workers: batches map to fixed substreams, each worker runs one
+    contiguous run of them, and the merge is a plain sum.  Every policy and
+    every length is checked before any batch runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    policies, w_s_values = list(policies), list(w_s_values)
-    lengths = sorted(set(w_s_values))
+    policies, lengths = list(policies), sorted(set(w_s_values))
     if not lengths:
         raise ValueError("w_s_values holds no session length")
     for w_s in lengths:
@@ -200,24 +201,7 @@ def estimate_session_error_curves(
         ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
         return SessionStats(trials=trials, errors=n_errors, p_hat=p_hat, ci95_halfwidth=ci, seed=seed)
 
-    return [[stats(n) for n in errors[lengths.index(w_s)].tolist()] for w_s in w_s_values]
-
-
-def estimate_session_errors(
-    policies,
-    config: SystemConfig,
-    trials: int,
-    seed: int = 0,
-    workers: int = 1,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-) -> list[SessionStats]:
-    """Monte Carlo estimates of the session error probability at config.w_s, one per policy, in order.
-
-    Each batch draws once per nested family (see _families) from the
-    substream (seed, b), so every policy's estimate equals that of a call
-    with it alone at the same seed.
-    """
-    return estimate_session_error_curves(policies, config, (config.w_s,), trials, seed, workers, batch_size)[0]
+    return {w_s: [stats(n) for n in row] for w_s, row in zip(lengths, errors.tolist())}
 
 
 def estimate_session_error(
@@ -228,8 +212,9 @@ def estimate_session_error(
     workers: int = 1,
     batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> SessionStats:
-    """Monte Carlo estimate of the session error probability of one policy."""
-    return estimate_session_errors([policy], config, trials, seed, workers, batch_size)[0]
+    """Monte Carlo estimate of the session error probability of one policy at config.w_s."""
+    curves = estimate_session_error_curves([policy], config, (config.w_s,), trials, seed, workers, batch_size)
+    return curves[config.w_s][0]
 
 
 def estimate_alphas(

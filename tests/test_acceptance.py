@@ -27,7 +27,7 @@ from smddc import (
     chernoff_noma2,
     chernoff_oma,
     estimate_session_error,
-    estimate_session_errors,
+    estimate_session_error_curves,
     exact_session_error,
     mean_packets,
     noma_factor,
@@ -210,9 +210,9 @@ def session_grid():
         for ws in (50, 55, 60):
             # OMA and sym L=2 at k=2 nest on one stream: one draw serves both
             cfg = SystemConfig(gamma=4, omega=omega, k=2, w=50, w_s=ws)
-            mc = estimate_session_errors(
-                [PolicyKind.oma(), PolicyKind.symmetric(2)], cfg, trials=10**6, seed=11, workers=4
-            )
+            mc = estimate_session_error_curves(
+                [PolicyKind.oma(), PolicyKind.symmetric(2)], cfg, (ws,), trials=10**6, seed=11, workers=4
+            )[ws]
             mc.append(
                 estimate_session_error(PolicyKind.sdo(), replace(cfg, k=3), trials=10**6, seed=11, workers=4)
             )

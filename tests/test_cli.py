@@ -273,12 +273,19 @@ def test_sweep_integer_axis_rejects_fractional_range(capsys):
 
 @pytest.mark.parametrize(
     "values, message",
-    [("60:1:55", "range '60:1:55' holds no value"), ("50:1:inf", "range must be finite, got '50:1:inf'")],
+    [
+        ("60:1:55", "range '60:1:55' holds no value"),
+        ("50:1:inf", "range must be finite, got '50:1:inf'"),
+        # (end - start) / step overflows to an infinity, where math.floor raised OverflowError
+        ("1:1e-11:1e300", "range '1:1e-11:1e300' holds more than 1000000 values"),
+        ("-1e308:1e308:1e308", "range '-1e308:1e308:1e308' holds more than 1000000 values"),
+        ("1e308:1e308:-1e308", "range '1e308:1e308:-1e308' holds no value"),
+    ],
 )
 def test_sweep_empty_or_unbounded_range_is_exit_2(capsys, values, message):
     argv = [
         "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
-        "--axis", "w_s", "--values", values, "--trials", "2000",
+        "--axis", "w_s", f"--values={values}", "--trials", "2000",
     ]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and err == f"error: {message}\n"
@@ -423,6 +430,22 @@ def test_trials_below_one_is_exit_2(capsys, command):
     assert code == 2 and out == "" and err == "error: trials must be at least 1, got 0\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["analytic", "--policy", "fo", "--k", "3"],
+        ["sweep", "--policy", "fo", "--k", "3", "--axis", "w_s", "--values", "55"],
+        ["sweep", "--policy", "sdo,fo", "--k", "3", "--axis", "w_s", "--values", "55"],
+    ],
+    ids=["simulate", "analytic", "sweep-fo", "sweep-sdo-fo"],
+)
+def test_negative_seed_is_exit_2(capsys, argv):
+    # numpy's own "expected non-negative integer" was printed bare, or became the FO row's error
+    code, out, err = run_cli(capsys, [*argv, "--gamma", "4", "--omega", "20", "--trials", "100", "--seed", "-1"])
+    assert code == 2 and out == "" and err == "error: seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("policy", [["--policy", "sym", "--depth", "2"], ["--policy", "sdo", "--k", "3"]])
 def test_analytic_vanishing_two_packet_probability(capsys, policy):
     # beta2 ~ 1e-23 here: a quadratic root that subtracts raised "math domain error"
@@ -523,3 +546,20 @@ def test_out_into_missing_directory_is_exit_2(tmp_path, capsys):
     argv = ["simulate", "--gamma", "4", "--omega", "20", "--trials", "100", "--out", str(path)]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--workers", "0"],
+        ["sweep", "--axis", "omega", "--values", "nan,20"],
+    ],
+    ids=["simulate", "sweep"],
+)
+def test_failed_command_keeps_out_file(tmp_path, capsys, argv):
+    # --out was opened, and so emptied, before the command ran
+    path = tmp_path / "x.csv"
+    path.write_text("kept\n")
+    code, out, err = run_cli(capsys, [*argv, "--gamma", "4", "--omega", "20", "--trials", "100", "--out", str(path)])
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert path.read_text() == "kept\n"

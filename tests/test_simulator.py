@@ -16,7 +16,6 @@ from smddc import (
     estimate_alphas,
     estimate_session_error,
     estimate_session_error_curves,
-    estimate_session_errors,
     exact_session_error,
     mean_packets,
 )
@@ -199,7 +198,7 @@ def test_cross_policies_need_two_users(policy, monkeypatch):
     with pytest.raises(ValueError, match=message):
         estimate_session_error(policy, cfg, trials=100)
     with pytest.raises(ValueError, match=message):
-        estimate_session_errors([PolicyKind.oma(), policy], cfg, trials=100_000, workers=2)
+        estimate_session_error_curves([PolicyKind.oma(), policy], cfg, (cfg.w_s,), trials=100_000, workers=2)
     with pytest.raises(ValueError, match=message):
         estimate_alphas(policy, cfg, trials=100)
 
@@ -236,7 +235,7 @@ def _assert_joint_matches_separate(policies, cfg, seed):
     separate = [estimate_session_error(p, cfg, **kw) for p in policies]
     assert len(set(s.errors for s in separate)) > 1  # the members are told apart
     for workers in (1, 2):
-        assert estimate_session_errors(policies, cfg, workers=workers, **kw) == separate
+        assert estimate_session_error_curves(policies, cfg, (cfg.w_s,), workers=workers, **kw)[cfg.w_s] == separate
 
 
 def test_joint_cross_family_matches_separate_calls():
@@ -289,7 +288,10 @@ def test_batches_of_a_run_carry_nothing_between_them(cfg, policies):
     fresh = [sum(_fresh_errors(p, cfg, seed, b, n) for b, n in enumerate(sizes)) for p in policies]
     assert len(set(fresh)) > 1
     for workers in (1, 2):
-        stats = estimate_session_errors(policies, cfg, sum(sizes), seed=seed, workers=workers, batch_size=batch)
+        curves = estimate_session_error_curves(
+            policies, cfg, (cfg.w_s,), sum(sizes), seed=seed, workers=workers, batch_size=batch
+        )
+        stats = curves[cfg.w_s]
         assert [s.errors for s in stats] == fresh
 
 
@@ -311,17 +313,18 @@ def test_curves_count_prefixes_of_one_draw(cfg, policies, workers, batch_size):
     # the longest session; lengths come unsorted and repeated
     w_s_values, trials, seed = (57, 50, 55, 50), 3_001, 25
     curves = estimate_session_error_curves(policies, cfg, w_s_values, trials, seed, workers, batch_size)
-    expected = np.zeros((len(w_s_values), len(policies)), dtype=np.int64)
+    expected = {w_s: [0] * len(policies) for w_s in w_s_values}
     for b, start in enumerate(range(0, trials, batch_size)):
         n = min(batch_size, trials - start)
         for i, policy in enumerate(policies):
             counts = _slot_counts(policy, cfg, RngStream(seed, b), (max(w_s_values), n))
-            for j, w_s in enumerate(w_s_values):
-                expected[j, i] += np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w)
-    assert [[s.errors for s in stats] for stats in curves] == expected.tolist()
-    assert len(set(expected.ravel().tolist())) > len(policies)  # the lengths are told apart
+            for w_s in expected:
+                expected[w_s][i] += np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w)
+    assert {w_s: [s.errors for s in stats] for w_s, stats in curves.items()} == expected
+    assert len({n for row in expected.values() for n in row}) > len(policies)  # the lengths are told apart
     longest = replace(cfg, w_s=max(w_s_values))
-    assert curves[0] == estimate_session_errors(policies, longest, trials, seed, workers, batch_size)
+    alone = [estimate_session_error(p, longest, trials, seed, workers, batch_size) for p in policies]
+    assert curves[longest.w_s] == alone
 
 
 @pytest.mark.parametrize("w_s_values, message", [((55, 49), "need w_s >= w >= 1"), ((), "holds no session length")])
