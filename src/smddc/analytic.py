@@ -7,6 +7,7 @@ Pr(sum_t V(t) < W) in log space, by a power-series recurrence in O(W L).
 """
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -98,10 +99,10 @@ def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
     a = rho1*rho2/omega^2.  In u = log(y - y0) the product decays double-exponentially
     at both ends and rises once, to a peak at e^u > 1 that Newton's method finds, so the
     plain trapezoidal rule converges exponentially (Trefethen & Weideman, SIAM Review 56,
-    2014).  It runs over the window where the log integrand is within 45 nats of its
-    peak, scaled by the peak, from a step of half the peak's curvature width, halving
-    the step until two successive sums agree to 1e-14.  At a = 0 the own gain's factor
-    is exp(-rho1/omega) wherever y > y0, which leaves Pr(best cross gain > y0) in closed form.
+    2014).  It runs over a bracket that bounds on the integrand's slope prove holds every
+    point within 45 nats of the peak, scaled by the peak, from a step of half the peak's
+    curvature width, halving it until two successive sums agree to 1e-14.  At a = 0 the own gain's
+    factor is exp(-rho1/omega) wherever y > y0, leaving Pr(best cross gain > y0) in closed form.
     """
     if not (rho1 > 0 and rho2 > 0 and omega > 0):  # NaN too: it would reach the window's point count
         raise ValueError("rho1, rho2 and omega must be positive")
@@ -138,22 +139,12 @@ def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
     if top < -800.0:  # below the double range whatever the window's width
         return 0.0
     width = 1.0 / math.sqrt(-curvature)
-    floor = top - 45.0
-
-    def rise(u):
-        value, slope, _ = log_integrand(u)
-        return value - floor, slope
-
-    def fall(u):
-        value, slope, _ = log_integrand(u)
-        return floor - value, -slope
-
-    # left of u = -1 the slope exceeds 0.63, and past e^u = 3 big + 50 the log integrand has
-    # fallen by more than 45 from e^u = big + 1: both ends bracket the 45-nat window; a
-    # parabola of the peak's curvature falls by 45 at sqrt(90) = 9.5 widths, the first guess
-    left = _newton_root(rise, -75.0, peak, max(peak - 9.5 * width, -75.0), 0.1 * width)
-    hi = math.log(3.0 * big + 50.0)
-    right = _newton_root(fall, peak, hi, min(peak + 9.5 * width, hi), 0.1 * width)
+    # g, the log integrand, is 45 nats below top outside [left, right]: for e^u <= 1 its slope is
+    # at least r = a e^{-u}, so g(0) - g(u) >= a (e^{-u} - 1) >= 45 left of -log1p(45/a), and
+    # g(0) <= top as the peak lies at e^u >= 1; left of u = -1 the slope exceeds 0.63, so
+    # g(-75) < g(-1) - 45; past e^u = 3 big + 50, g has fallen by more than 45 from e^u = big + 1
+    left = max(-75.0, -math.log1p(45.0 / a))
+    right = math.log(3.0 * big + 50.0)
     shift = log_m - c - y0 - top
 
     def scaled(u):  # the integrand over e^top, on an array, with _log1mexp's two branches
@@ -228,6 +219,16 @@ def mean_packets(dist: PacketCountDistribution) -> float:
 # --- session spec and Chernoff bounds -------------------------------------
 
 
+def _store_ints(obj, *names):
+    """Store the named fields of the frozen dataclass obj as ints; a float, even 3.0, raises TypeError."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SessionSpec:
     """Delivery requirement: w packets within w_s slots."""
@@ -236,6 +237,7 @@ class SessionSpec:
     w_s: int
 
     def __post_init__(self):
+        _store_ints(self, "w", "w_s")
         if self.w < 1 or self.w_s < self.w:
             raise ValueError(f"need w_s >= w >= 1, got w={self.w}, w_s={self.w_s}")
 

@@ -3,7 +3,7 @@
 import math
 from dataclasses import dataclass
 
-from .analytic import SessionSpec
+from .analytic import SessionSpec, _store_ints
 from .policies import PolicyKind
 from .power_ladder import PowerLadder, build_ladder
 
@@ -27,6 +27,7 @@ class SystemConfig:
     w_s: int = 55
 
     def __post_init__(self):
+        _store_ints(self, "k", "depth", "w", "w_s")
         if not all(x > 0 for x in (self.gamma, self.omega, self.n0)):  # NaN fails too
             raise ValueError("gamma, omega and n0 must be positive")
         if self.k < 1:

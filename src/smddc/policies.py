@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _store_ints
+
 _FIXED_DEPTH = {"oma": 1, "sdo": 2, "fo": 2}  # "sym" takes its depth L from the caller
 
 
@@ -45,6 +47,7 @@ class PolicyKind:
     depth: int = 1
 
     def __post_init__(self):
+        _store_ints(self, "depth")
         if self.variant != "sym" and self.variant not in _FIXED_DEPTH:
             raise ValueError(f"unknown policy {self.variant!r}")
         if self.depth < 1:

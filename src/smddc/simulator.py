@@ -179,11 +179,10 @@ def estimate_session_error_curves(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    policies, lengths = list(policies), sorted(set(w_s_values))
+    policies = list(policies)
+    lengths = sorted({SessionSpec(config.w, w_s).w_s for w_s in w_s_values})  # ints, each w_s >= w >= 1
     if not lengths:
         raise ValueError("w_s_values holds no session length")
-    for w_s in lengths:
-        SessionSpec(config.w, w_s)  # raises unless w_s >= w >= 1
     for policy in policies:
         policy.check_users(config.k)
     jobs = list(_batches(trials, batch_size))

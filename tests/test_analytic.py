@@ -199,6 +199,14 @@ def test_beta2_sdo_far_below_one_matches_alternating_sum(rho1, rho2, omega, k):
     assert value == pytest.approx(beta2_sdo_alternating_sum(rho1, rho2, omega, k), rel=1e-12)
 
 
+@pytest.mark.parametrize("omega", [1e8, 1e12, 1e16, 1e20, 1e40])
+@pytest.mark.parametrize("k", [2, 3, 5, 8])
+def test_beta2_sdo_tiny_a_matches_alternating_sum(omega, k):
+    # a = 80/omega^2 runs from 8e-15 to 8e-79: the sum's left end is -log1p(45/a) up to
+    # omega = 1e16 and the -75 floor beyond
+    assert beta2_sdo(4.0, 20.0, omega, k) == pytest.approx(beta2_sdo_alternating_sum(4.0, 20.0, omega, k), rel=1e-12)
+
+
 @pytest.mark.parametrize("omega", [0.5, 2.0, 20.0, 1e3, 1e5])
 @pytest.mark.parametrize("gamma", [1.0, 4.0, 30.0])
 def test_beta2_sdo_two_users_is_the_symmetric_closed_form(gamma, omega):
@@ -274,6 +282,21 @@ def test_session_spec():
     assert spec.kappa == pytest.approx(50 / 55)
     with pytest.raises(ValueError):
         SessionSpec(50, 40)
+
+
+@pytest.mark.parametrize("w, w_s, field", [(50.5, 55, "w"), (50, 55.0, "w_s")])
+def test_session_spec_takes_integers_only(w, w_s, field):
+    # a float w would give chernoff_oma a bound for W = 50.5
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SessionSpec(w, w_s)
+
+
+def test_session_spec_stores_numpy_integers_as_int():
+    # log_session_error takes w_s.bit_length(), which numpy integers lack
+    spec = SessionSpec(np.int64(50), np.int64(55))
+    assert type(spec.w) is int and type(spec.w_s) is int
+    law = alphas_from_betas([0.9])
+    assert log_session_error(law, SessionSpec(50, np.int64(55))) == log_session_error(law, SessionSpec(50, 55))
 
 
 def test_chernoff_oma_perfect_slot():

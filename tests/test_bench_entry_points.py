@@ -8,8 +8,12 @@ from collections import Counter
 
 import pytest
 
+import smddc
+import smddc.analytic
+import smddc.channel
 import smddc.cli
 import smddc.policies
+import smddc.power_ladder
 import smddc.simulator
 from smddc import PolicyKind, SystemConfig
 
@@ -27,12 +31,35 @@ ENTRY_POINTS = [
         )
     ),
     *((smddc.cli, name) for name in ("estimate_session_error", "estimate_alphas", "main")),
+    (smddc, "__version__"),
+    (smddc.power_ladder, "build_ladder"),
+    *(
+        (smddc.analytic, name)
+        for name in (
+            "SessionSpec",
+            "alphas_from_betas",
+            "beta1",
+            "beta2_sdo",
+            "beta2_symmetric",
+            "chernoff_generic",
+            "chernoff_noma2",
+            "chernoff_oma",
+            "exact_session_error",
+            "noma_factor",
+            "oma_session_error_binomial",
+        )
+    ),
 ]
 
 
 @pytest.mark.parametrize("module,name", ENTRY_POINTS, ids=[f"{m.__name__}.{n}" for m, n in ENTRY_POINTS])
 def test_benchmark_entry_point_exists(module, name):
     assert hasattr(module, name)
+
+
+def test_benchmark_provenance_reads_the_seed_sequence():
+    # bench/run.py names the bit generator and its seed sequence in every payload
+    assert smddc.channel.RngStream(0).generator.bit_generator.seed_seq is not None
 
 
 def test_benchmark_config_constructs():

@@ -55,7 +55,7 @@ def test_ladder_overflow_is_exit_2(tmp_path, capsys, fmt):
     argv = ["ladder", "--gamma", "4", "--omega", "20", "--depth", "445", "--format", fmt, "--out", str(path)]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == "" and err == "error: the received power of level 442 of 445 overflows\n"
-    assert path.read_text() == "kept\n"  # rejected before --out is opened
+    assert path.read_text() == "kept\n"  # cmd_ladder raises before _emit, the one place that opens --out
     code, out, _ = run_cli(capsys, ["ladder", "--gamma", "4", "--omega", "20", "--depth", "441", "--format", fmt])
     assert code == 0 and "inf" not in out.lower() and "nan" not in out.lower()
 

@@ -113,6 +113,12 @@ def test_policy_kind_validation():
     assert PolicyKind.fo().max_packets(5) == 5
 
 
+def test_policy_kind_depth_takes_integers_only():
+    with pytest.raises(TypeError, match="depth must be an integer"):
+        PolicyKind.symmetric(2.0)
+    assert type(PolicyKind.symmetric(np.int64(2)).depth) is int
+
+
 def test_policy_kind_names_depths_and_user_check():
     assert [p.variant for p in (PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo())] == [
         "oma", "sym", "sdo", "fo",

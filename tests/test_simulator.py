@@ -180,6 +180,18 @@ def test_config_rejects_nan(field):
         SystemConfig(**{"gamma": 4.0, "omega": 20.0, "n0": 1.0, field: math.nan})
 
 
+@pytest.mark.parametrize("field, value", [("k", 3.0), ("depth", 2.0), ("w", 50.0), ("w_s", 55.5)])
+def test_config_takes_integers_only(field, value):
+    # a float k reached FO's cross-gain shape, a float w_s the engine's slot count
+    with pytest.raises(TypeError, match=f"{field} must be an integer"):
+        SystemConfig(**{"gamma": 4.0, "omega": 20.0, field: value})
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = SystemConfig(gamma=4.0, omega=20.0, k=np.int64(3), depth=np.int8(2), w=np.int32(50), w_s=np.uint16(55))
+    assert [type(x) for x in (cfg.k, cfg.depth, cfg.w, cfg.w_s)] == [int] * 4
+
+
 @pytest.mark.parametrize("workers", [0, -3])
 def test_invalid_workers(workers):
     with pytest.raises(ValueError, match="workers must be at least 1"):
@@ -325,6 +337,11 @@ def test_curves_count_prefixes_of_one_draw(cfg, policies, workers, batch_size):
     longest = replace(cfg, w_s=max(w_s_values))
     alone = [estimate_session_error(p, longest, trials, seed, workers, batch_size) for p in policies]
     assert curves[longest.w_s] == alone
+
+
+def test_curves_are_keyed_by_int_lengths():
+    curves = estimate_session_error_curves([PolicyKind.oma()], CFG, np.array([60, 55, 60]), trials=100)
+    assert list(curves) == [55, 60] and all(type(w_s) is int for w_s in curves)
 
 
 @pytest.mark.parametrize("w_s_values, message", [((55, 49), "need w_s >= w >= 1"), ((), "holds no session length")])
