@@ -19,8 +19,10 @@ _prefix_counts.  Multi-level gains come with the level on the last axis, so
 a caller that passes np.moveaxis(level_major, 0, -1) hands the kernel one
 contiguous slab per level.  The symmetric and FO kernels can take their
 deeper levels from a callable instead, which draws each level only for the
-slots that are still within budget.  Gains are only read; counts come back
-new, in the narrowest unsigned integer dtype that holds the per-slot cap.
+slots that are still within budget, and only among the slots that a second
+callable picks from the counts of the first levels.  Gains are only read;
+counts come back new, in the narrowest unsigned integer dtype that holds
+the per-slot cap.
 """
 
 from dataclasses import dataclass
@@ -93,13 +95,13 @@ def oma_packet_counts(own, rho1, omega):
     return _prefix_counts((own,), (rho1,), omega)
 
 
-def symmetric_packet_counts(gains, rhos, omega, deeper=None):
+def symmetric_packet_counts(gains, rhos, omega, deeper=None, passes=None):
     """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet, at cost rhos[l].
 
     `gains` holds the first levels; the rest of `rhos`, if any, come from
-    `deeper` (see _prefix_counts).
+    `deeper`, for the slots of `passes` (see _prefix_counts).
     """
-    return _prefix_counts(np.moveaxis(gains, -1, 0), rhos, omega, deeper)
+    return _prefix_counts(np.moveaxis(gains, -1, 0), rhos, omega, deeper, passes)
 
 
 def sdo_packet_counts(own, best, rho1, rho2, omega):
@@ -107,27 +109,31 @@ def sdo_packet_counts(own, best, rho1, rho2, omega):
     return _prefix_counts((own, best), (rho1, rho2), omega)
 
 
-def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None):
+def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None, passes=None):
     """Packet counts for FO-NOMA over the m cross gains of each slot (m defaults to top.shape[-1]).
 
     top[..., j] holds the best of them in descending order; the rest come
-    from `deeper` (see _prefix_counts).
+    from `deeper`, for the slots of `passes` (see _prefix_counts).
     """
     m = np.shape(top)[-1] if m is None else m
-    return _prefix_counts((own, *np.moveaxis(top, -1, 0)), (rho1,) + (rho2,) * m, omega, deeper)
+    return _prefix_counts((own, *np.moveaxis(top, -1, 0)), (rho1,) + (rho2,) * m, omega, deeper, passes)
 
 
-def _prefix_counts(levels, rhos, omega, deeper=None):
+def _prefix_counts(levels, rhos, omega, deeper=None, passes=None):
     """Per slot, the number of leading levels whose running cost, the sum of rhos[l] / levels[l], is <= omega.
 
     levels[l] holds the level-(l+1) gains of every slot; the levels of the
     rest of `rhos` come from `deeper(keep)`, which returns the next level's
     gains for the slots `keep`: indices into the slots of its previous
-    call, or into the flattened slots on its first.  Costs are positive, so
-    the running cost rises and a slot over budget stays over: the count is
-    the number of running sums <= omega, and a deeper level is drawn only
-    for the slots still within budget.  The gains are only read; the counts
-    are a new array of dtype np.min_scalar_type(len(rhos)).
+    call, or into the flattened slots on a pass's first.  Costs are
+    positive, so the running cost rises and a slot over budget stays over:
+    the count is the number of running sums <= omega, and a deeper level is
+    drawn only for the slots still within budget.  With `passes`, the
+    deeper levels are drawn once for each of the disjoint boolean masks,
+    broadcast against the slots, of `passes(dense)`, in its order and for
+    its slots only, where `dense` is the counts of `levels` alone; without
+    it, once for every slot.  The gains are only read; the counts are a new
+    array of dtype np.min_scalar_type(len(rhos)).
     """
     if len(levels) > len(rhos):
         raise ValueError(f"gains for {len(levels)} levels but costs for only {len(rhos)}")
@@ -142,13 +148,15 @@ def _prefix_counts(levels, rhos, omega, deeper=None):
         return n
     if deeper is None:
         raise ValueError(f"no gains for the last {len(rest)} levels")
-    alive = np.flatnonzero(fits)
-    keep, spent, counts = alive, spent.reshape(-1)[alive], n.reshape(-1)  # n is new, so counts is a view of it
-    for rho in rest:
-        if not alive.size:
-            break
-        spent += rho / deeper(keep)
-        keep = np.flatnonzero(spent <= omega)
-        alive, spent = alive[keep], spent[keep]
-        counts[alive] += 1
+    spent, counts = spent.reshape(-1), n.reshape(-1)  # n is new, so counts is a view of it
+    for mask in [None] if passes is None else passes(n):
+        alive = np.flatnonzero(fits if mask is None else fits & mask)
+        keep, total = alive, spent[alive]
+        for rho in rest:
+            if not alive.size:
+                break
+            total += rho / deeper(keep)
+            keep = np.flatnonzero(total <= omega)
+            alive, total = alive[keep], total[keep]
+            counts[alive] += 1
     return n

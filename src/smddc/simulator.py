@@ -15,6 +15,15 @@ Policies that nest slot by slot on one stream (OMA, SDO and FO; OMA and
 symmetric depths) share one draw per batch: each member's counts are its
 family's deepest member's, capped.
 
+The dense levels, each slot's own gain and best cross gain or symmetric
+levels 1 and 2, are drawn for every slot.  A session whose dense total
+reaches w at a length succeeds there under every member, since a deeper
+level only adds packets; so the deeper levels (FO's further cross gains,
+symmetric l >= 3) are drawn only for the sessions short of w at some
+requested length, and only in their slots up to the longest such length
+(see _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the
+dense levels alone, so the screen leaves their bits as they were.
+
 Every draw and every kernel returns a new array, and the survivors of
 deeper levels (FO, symmetric L >= 3) are compacted into new arrays; only
 the cap of a family's counts works in place.  At W_S = 55 a 1,000-session
@@ -57,38 +66,78 @@ class DescendingCrossGains:
     gain_from_neg_log_cdf(a_j).  `best`, the top level, is drawn for every
     slot of `shape`.  Each call draws the next level only for the slots
     `keep` (indices into the slots of the previous level, flattened), so a
-    level depends only on the levels above it.
+    level depends only on the levels above it.  `passes` restarts the
+    descent at `best` for each pass of a kernel.
     """
 
     def __init__(self, stream: RngStream, m: int, shape):
-        self._stream, self._m, self._level = stream, m, 1
-        self._a = draw_exponential(stream, 1.0 / m, shape)
-        self.best = gain_from_neg_log_cdf(self._a)
+        self._stream, self._m = stream, m
+        self._top = draw_exponential(stream, 1.0 / m, shape)
+        self.best = gain_from_neg_log_cdf(self._top)
+        self._a, self._level = self._top.reshape(-1), 1
 
     def __call__(self, keep):
-        self._a = a = self._a.reshape(-1)[keep]  # the level above is not needed any more
+        self._a = a = self._a[keep]  # a new array: the level above stays as it was
         a += draw_exponential(self._stream, 1.0 / (self._m - self._level), size=a.size)
         self._level += 1
         return gain_from_neg_log_cdf(a)
 
+    def passes(self, masks):
+        """Each of `masks`, with the next call's `keep` indexing the flattened slots of `best` again."""
+        for mask in masks:
+            self._a, self._level = self._top.reshape(-1), 1
+            yield mask
 
-def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape):
+
+def _undecided(dense, lengths, w: int):
+    """The slot masks of one batch's deeper-level passes, from the counts `dense` of its dense levels.
+
+    A session whose dense total reaches w at a length succeeds there under
+    every policy drawn from these levels, since the deeper levels only add
+    packets.  So the deeper levels matter only in the slots [0, l) of a
+    session short of w at its longest such length l.  The first pass
+    covers the sessions short at lengths[-1], over all their slots: all
+    that a call with lengths[-1] alone would draw.  The second covers the
+    sessions short only at shorter lengths, each over its slots [0, l).
+    Both are functions of `dense` alone.
+    """
+    dtype = np.min_scalar_type(2 * lengths[-1])  # holds each total (2 dense levels at most) and each length
+    totals, short, prev = np.zeros(dense.shape[1], dtype), np.zeros(dense.shape[1], np.intp), 0
+    for w_s in lengths:
+        totals += dense[prev:w_s].sum(axis=0, dtype=dtype)
+        short += totals < w
+        prev = w_s
+    limit = np.array([0, *lengths], dtype)[short]  # a session is short at the `short` shortest lengths
+    longest = limit == lengths[-1]
+    rest = np.where(longest, 0, limit)
+    passes = [longest] if longest.any() else []
+    if rest.any():
+        passes.append(np.arange(lengths[-1], dtype=dtype)[:, None] < rest)
+    return passes
+
+
+def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape, lengths=None):
     """Vectorized per-slot packet counts over an array of slots of the given shape.
 
     Every slot draws its own gain and, for SDO and FO, its best cross gain;
     symmetric NOMA draws its first two levels level-major, (levels,) +
-    shape.  Deeper levels (symmetric l >= 3, FO's further cross gains) are
-    drawn only for the slots that afforded every level before them.  SDO
-    and FO share the same draws, so SDO's count is FO's capped at 2.  The
-    counts returned are the kernel's own new array.
+    shape.  These are the dense levels.  Deeper levels (symmetric l >= 3,
+    FO's further cross gains) are drawn only for the slots that afforded
+    every level before them and, given the ascending session `lengths`
+    (shape is then (lengths[-1], sessions)), only in the passes of
+    _undecided: elsewhere the counts stop at the dense levels' and still
+    decide every session at every length.  SDO and FO share the same
+    draws, so SDO's count is FO's capped at 2.  The counts returned are the
+    kernel's own new array.
     """
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
+    passes = None if lengths is None else lambda dense: _undecided(dense, lengths, config.w)
     if policy.variant == "sym":
         dense = (min(policy.depth, 2),) + shape
         gains = draw_exponential(stream, 1.0, dense)
         return policies.symmetric_packet_counts(
-            np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size)
+            np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size), passes
         )
     own = draw_exponential(stream, 1.0, shape)
     if policy.variant == "oma":
@@ -96,7 +145,8 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     cross = DescendingCrossGains(stream, config.k - 1, shape)
     if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
         return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega)
-    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1)
+    restarted = None if passes is None else lambda dense: cross.passes(passes(dense))
+    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1, restarted)
 
 
 def _families(policies, k: int):
@@ -121,16 +171,16 @@ def _families(policies, k: int):
 def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
     """Session errors, shape (len(lengths), len(policies)), summed over the batches (b, n) of `jobs`.
 
-    Each batch draws once per nested family, for the longest session; the
-    members, deepest first, cap the driver's counts in place, and each of
-    the ascending `lengths` adds its slots since the previous one to a
-    running total.
+    Each batch draws once per nested family, for the longest session and
+    screened at `lengths`; the members, deepest first, cap the driver's
+    counts in place, and each of the ascending `lengths` adds its slots
+    since the previous one to a running total.
     """
     families = _families(policies, config.k)
     errors = np.zeros((len(lengths), len(policies)), dtype=np.int64)
     for b, n_sessions in jobs:
         for driver, members in families:
-            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions))
+            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths)
             for i in members:
                 cap = policies[i].max_packets(config.k)
                 if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
@@ -165,11 +215,18 @@ def estimate_session_error_curves(
     config.w_s is not read: the per-slot counts do not depend on it, so a
     w_s-slot session is the first w_s slots of the longest one.  Each batch
     draws once per nested family (see _families), for the longest session,
-    from the substream (seed, b).  Every estimate is unbiased over `trials`
-    independent sessions; the estimates at different lengths are paired
-    (common random numbers), so each policy's error count is non-increasing
-    in w_s.  Each policy's estimate at the longest length equals that of a
-    call with that policy alone at the same seed.  Deterministic given
+    from the substream (seed, b), and draws the deeper levels only where
+    they can decide a session at one of the lengths (see _undecided).
+    Which slots those are depends on the dense levels' draws alone, and
+    elsewhere the dense counts already decide every member, so every
+    estimate is unbiased and exact in law over `trials` independent
+    sessions.  OMA, SDO and symmetric L <= 2 never draw a deeper level,
+    so their bits do not depend on that screen; FO at K >= 3 and symmetric
+    L >= 3 do.  The estimates at different lengths are paired (common
+    random numbers), so each policy's error count is non-increasing in
+    w_s.  Each policy's estimate at the longest length equals that of a
+    call with that policy alone at that length and the same seed: the
+    screen's first pass is all that such a call draws.  Deterministic given
     (seed, trials, config, w_s_values, batch_size) for any number of
     workers: batches map to fixed substreams, each worker runs one
     contiguous run of them, and the merge is a plain sum.  Every policy and

@@ -160,6 +160,18 @@ def test_cross_gains_follow_kept_slots():
     assert (third <= second[::2]).all()
 
 
+def test_cross_gains_restart_at_best_for_each_pass():
+    # each pass's first call indexes the flattened slots of `best` again,
+    # however deep the pass before it went
+    cross = DescendingCrossGains(RngStream(12, 0), 5, (4, 250))
+    best = cross.best.ravel()
+    for first in cross.passes([np.flatnonzero(best > 1.0), np.flatnonzero(best <= 1.0)]):
+        second = cross(first)
+        assert (second <= best[first]).all()
+        third = cross(np.arange(second.size))
+        assert (third <= second).all() and third.size == first.size
+
+
 def neg_log1mexp_50_digits(a):
     """-log(1 - e^-a) at 50 digits; each branch is exact in its range at that precision."""
     with mpmath.workdps(50):

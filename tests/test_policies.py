@@ -254,6 +254,31 @@ def test_symmetric_lazy_levels_match_dense():
         symmetric_packet_counts(gains[..., :2], rhos, 50.0)
 
 
+def test_passes_draw_the_deeper_levels_of_their_slots_only():
+    # each pass restarts the feed at the flattened slots, as the simulator's
+    # cross gains do; a slot outside every pass keeps the count of the
+    # levels given, one inside gets the count of all of them
+    rng = np.random.default_rng(31)
+    gains = rng.exponential(1, (40, 300, 5))
+    rhos = np.asarray(build_ladder(1, 1, 5).levels)
+    first = rng.random(300) < 0.2  # sessions: broadcast over the slot axis
+    second = (rng.random((40, 300)) < 0.5) & ~first  # slots, apart from the first pass's
+    dense = symmetric_packet_counts(gains[..., :2], rhos[:2], 50.0)
+    seen, feed = [], {}
+
+    def passes(counts):
+        seen.append(counts.copy())
+        for mask in (first, second):
+            feed["deeper"] = lazy_feed(gains[..., 1:])
+            yield mask
+
+    counts = symmetric_packet_counts(gains[..., :2], rhos, 50.0, lambda keep: feed["deeper"](keep), passes)
+    assert len(seen) == 1 and np.array_equal(seen[0], dense)
+    full = symmetric_packet_counts(gains, rhos, 50.0)
+    assert np.array_equal(counts, np.where(first | second, full, dense))
+    assert (full[first | second] > 2).any() and (full[~(first | second)] > 2).any()
+
+
 def test_oma_rate_matches_beta1():
     from smddc import beta1
 

@@ -13,6 +13,7 @@ from smddc import (
     alphas_from_betas,
     beta1,
     beta2_symmetric,
+    draw_exponential,
     estimate_alphas,
     estimate_session_error,
     estimate_session_error_curves,
@@ -20,7 +21,7 @@ from smddc import (
     mean_packets,
 )
 from smddc import simulator
-from smddc.simulator import _slot_counts
+from smddc.simulator import _run_batches, _slot_counts
 
 ALL_POLICIES = (PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo())
 
@@ -276,8 +277,8 @@ def test_batch_size_below_one_is_rejected(estimate, batch_size):
 
 
 def _fresh_errors(policy, cfg, seed, batch_index, n_sessions):
-    """Session errors of one batch from arrays allocated for it alone."""
-    counts = _slot_counts(policy, cfg, RngStream(seed, batch_index), (cfg.w_s, n_sessions))
+    """Session errors of one batch from arrays allocated for it alone, its deeper levels screened at cfg.w_s."""
+    counts = _slot_counts(policy, cfg, RngStream(seed, batch_index), (cfg.w_s, n_sessions), [cfg.w_s])
     return int(np.count_nonzero(counts.sum(axis=0, dtype=np.int64) < cfg.w))
 
 
@@ -326,10 +327,15 @@ def test_curves_count_prefixes_of_one_draw(cfg, policies, workers, batch_size):
     w_s_values, trials, seed = (57, 50, 55, 50), 3_001, 25
     curves = estimate_session_error_curves(policies, cfg, w_s_values, trials, seed, workers, batch_size)
     expected = {w_s: [0] * len(policies) for w_s in w_s_values}
+    lengths, deepest = sorted(set(w_s_values)), max(policies, key=lambda p: p.max_packets(cfg.k))
     for b, start in enumerate(range(0, trials, batch_size)):
         n = min(batch_size, trials - start)
         for i, policy in enumerate(policies):
-            counts = _slot_counts(policy, cfg, RngStream(seed, b), (max(w_s_values), n))
+            cap = policy.max_packets(cfg.k)
+            if cap > 2:  # FO, sym >= 3: the family's one draw, its deeper levels screened at every length
+                counts = np.minimum(_slot_counts(deepest, cfg, RngStream(seed, b), (max(w_s_values), n), lengths), cap)
+            else:
+                counts = _slot_counts(policy, cfg, RngStream(seed, b), (max(w_s_values), n))
             for w_s in expected:
                 expected[w_s][i] += np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w)
     assert {w_s: [s.errors for s in stats] for w_s, stats in curves.items()} == expected
@@ -337,6 +343,101 @@ def test_curves_count_prefixes_of_one_draw(cfg, policies, workers, batch_size):
     longest = replace(cfg, w_s=max(w_s_values))
     alone = [estimate_session_error(p, longest, trials, seed, workers, batch_size) for p in policies]
     assert curves[longest.w_s] == alone
+
+
+@pytest.mark.parametrize("policy", [PolicyKind.fo(), PolicyKind.symmetric(4)], ids=["fo", "sym4"])
+def test_no_deeper_draw_where_the_dense_levels_decide_every_session(policy, monkeypatch):
+    # at omega = 1e6 nearly every slot sends both dense packets (the own gain
+    # and the best cross gain, or symmetric levels 1 and 2), and 2 * 50 >= w:
+    # no session is short at any length, so no deeper level is drawn
+    cfg = SystemConfig(gamma=4, omega=1e6, k=8, w=50, w_s=55)
+    drawn = []
+
+    def counted(stream, mean, size):
+        drawn.append(int(np.prod(size)))
+        return draw_exponential(stream, mean, size)
+
+    monkeypatch.setattr(simulator, "draw_exponential", counted)
+    _slot_counts(policy, cfg, RngStream(26, 0), (cfg.w_s, 1_000))
+    assert sum(drawn) > 2 * cfg.w_s * 1_000  # unscreened, the same batch draws deeper levels
+    drawn.clear()
+    curves = estimate_session_error_curves([policy], cfg, (50, 55), trials=3_000, seed=26)
+    assert [curves[w_s][0].errors for w_s in (50, 55)] == [0, 0]
+    assert sum(drawn) == 2 * cfg.w_s * 3_000
+
+
+@pytest.mark.parametrize(
+    "cfg,policy,dense_policy",
+    [
+        (SystemConfig(gamma=0.2, omega=0.32, k=8, w=2950, w_s=3000), PolicyKind.fo(), PolicyKind.sdo()),
+        (SystemConfig(gamma=0.2, omega=0.5, k=8, w=5930, w_s=6000), PolicyKind.symmetric(3), PolicyKind.symmetric(2)),
+        (SystemConfig(gamma=0.2, omega=0.5, k=8, w=5930, w_s=6000), PolicyKind.symmetric(4), PolicyKind.symmetric(2)),
+    ],
+    ids=["fo", "sym3", "sym4"],
+)
+def test_screen_keeps_the_unscreened_draw_where_the_dense_levels_decide_no_session(cfg, policy, dense_policy):
+    # no session's dense total (SDO's, or symmetric depth 2's, from the same
+    # stream) reaches w, so every session is short at the longest length and
+    # its deeper levels are drawn in one pass over every slot: the unscreened
+    # draw, bit for bit
+    lengths, trials, batch, seed = [cfg.w_s - 20, cfg.w_s], 400, 200, 27
+    oracle = [0, 0]
+    for b in range(trials // batch):
+        dense = _slot_counts(dense_policy, cfg, RngStream(seed, b), (cfg.w_s, batch))
+        assert dense.sum(axis=0, dtype=np.int64).max() < cfg.w
+        counts = _slot_counts(policy, cfg, RngStream(seed, b), (cfg.w_s, batch))
+        assert np.array_equal(_slot_counts(policy, cfg, RngStream(seed, b), (cfg.w_s, batch), lengths), counts)
+        for j, w_s in enumerate(lengths):
+            oracle[j] += int(np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w))
+    curves = estimate_session_error_curves([policy], cfg, lengths, trials, seed, batch_size=batch)
+    assert [curves[w_s][0].errors for w_s in lengths] == oracle
+    assert 0 < oracle[-1] < trials  # the deeper levels decide some sessions either way
+
+
+def test_deeper_levels_only_for_sessions_short_at_some_length():
+    # at 70 slots the dense levels (SDO's count) decide almost every session and at 50 many
+    # are short: those get their deeper levels in the second pass, over their first 50 slots,
+    # and FO completes some of them at 50; a session short at no length gets none
+    cfg, lengths, shape = SystemConfig(gamma=4, omega=14, k=8, w=50), [50, 70], (70, 2_000)
+    sdo = _slot_counts(PolicyKind.sdo(), cfg, RngStream(30, 0), shape)
+    fo = _slot_counts(PolicyKind.fo(), cfg, RngStream(30, 0), shape, lengths)
+    sdo_totals = np.array([sdo[:w_s].sum(axis=0, dtype=np.int64) for w_s in lengths])
+    fo_totals = np.array([fo[:w_s].sum(axis=0, dtype=np.int64) for w_s in lengths])
+    second = (sdo_totals[0] < cfg.w) & (sdo_totals[1] >= cfg.w)
+    assert second.sum() > 100 and (fo_totals[0, second] >= cfg.w).any()
+    assert (fo[50:, second] <= 2).all()  # nothing deeper past their 50th slot
+    decided = sdo_totals[0] >= cfg.w
+    assert decided.sum() > 1_000 and np.array_equal(fo[:, decided], sdo[:, decided])
+
+
+@pytest.mark.parametrize(
+    "cfg,policies",
+    [
+        (SystemConfig(gamma=4, omega=10, k=8, w=50), [PolicyKind.oma(), PolicyKind.sdo(), PolicyKind.fo()]),
+        (
+            SystemConfig(gamma=0.5, omega=1.5, k=6, w=50),
+            [PolicyKind.oma()] + [PolicyKind.symmetric(depth) for depth in range(1, 5)],
+        ),
+    ],
+    ids=["cross", "own"],
+)
+def test_members_nest_session_by_session(cfg, policies):
+    # one-session batches show each session's outcome at every length: a member's counts
+    # are at least every shallower member's, slot by slot (FO >= SDO >= OMA, sym L' >= sym L),
+    # so it fails only where they all fail; OMA, SDO and sym <= 2 draw nothing deeper and
+    # fail exactly where their own draws do
+    lengths, seed = [50, 55, 57], 29
+    order = sorted(range(len(policies)), key=lambda i: policies[i].max_packets(cfg.k))
+    apart = False
+    for b in range(200):
+        failed = _run_batches(policies, cfg, lengths, seed, [(b, 1)])
+        for shallow, deep in zip(order, order[1:]):
+            assert (failed[:, deep] <= failed[:, shallow]).all(), (b, policies[shallow], policies[deep])
+        apart |= bool((failed[:, order[0]] > failed[:, order[-1]]).any())
+        for i, policy in enumerate(policies):
+            if policy.max_packets(cfg.k) <= 2:
+                assert np.array_equal(failed[:, i], _run_batches([policy], cfg, lengths, seed, [(b, 1)])[:, 0])
+    assert apart  # the members are told apart
 
 
 def test_curves_are_keyed_by_int_lengths():
