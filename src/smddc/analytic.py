@@ -3,12 +3,12 @@
 Per-slot multi-packet probabilities (beta/alpha), the closed-form Chernoff
 bounds for L=1 and L=2 with a generic root-finding minimizer for any
 packet-count law, the NOMA factor, and the exact session error probability
-Pr(sum_t V(t) < W) in log space, by a power-series recurrence in O(W L).
+Pr(sum_t V(t) < W) in log space, by a power-series recurrence in O(W L)
+whose steps run over plain Python lists.
 """
 
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,7 +396,9 @@ def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float
     P(z) = sum_m alpha_m z**m.  J.C.P. Miller's recurrence for the power of a power series
     (Knuth, TAOCP vol. 2, sec. 4.7) gives them in O(w L) from c_0 = alpha_0**w_s:
     k alpha_0 c_k = sum_{i=1..L} ((w_s + 1) i - k) alpha_i c_{k-i}, every weight positive for
-    k < w <= w_s, so nothing cancels.  The last L coefficients and their running sum are kept
+    k < w <= w_s, so nothing cancels.  Each step adds its L terms to 0.0 in the order i = 1..L,
+    from plain lists of the factors (w_s + 1) i and alpha_i and of the last L coefficients, newest
+    first, so one loop serves every L.  Those coefficients and their running sum are kept
     scaled by a common power of two, moved by ldexp whenever the newest coefficient passes hi,
     which is set from alpha_0 so that the next division by k alpha_0 stays finite.  The sum is
     therefore right far below the double range, where exp() of the result underflows.  Dividing
@@ -418,24 +420,28 @@ def log_session_error(dist: PacketCountDistribution, spec: SessionSpec) -> float
     width = ((n + 1) * len(rest)).bit_length()
     lift = min(-math.frexp(a0)[1], 1020 - width) if j else 0  # so that (n + 1) L alpha_i 2**(lift - j) is finite
     m0, scale = _frexp_power(a0, n)  # c_0 = m0 * 2**scale; the recurrence is homogeneous, so 2**lift leaves it
-    a0, terms = math.ldexp(a0, lift), [(float((n + 1) * i), math.ldexp(a, lift - j * i)) for i, a in enumerate(rest, 1)]
-    over = max(0, math.frexp(sum(a for _, a in terms))[1] - 1)  # scaled entries may sum past 1
+    a0 = math.ldexp(a0, lift)
+    ns = [float((n + 1) * i) for i in range(1, len(rest) + 1)]  # the recurrence's factors, i = 1..L
+    alphas = [math.ldexp(a, lift - j * i) for i, a in enumerate(rest, 1)]
+    over = max(0, math.frexp(sum(alphas))[1] - 1)  # scaled entries may sum past 1
     hi_exp = math.frexp(a0)[1] + 1017 - width - over  # so t / (k a0) <= 2**1019
     hi = math.ldexp(1.0, hi_exp)
     target = (hi_exp - 1022) // 2  # a rescaled window has as much room above as down to the subnormals
     scale -= target
     acc = math.ldexp(m0, target)
-    window = deque([acc], maxlen=len(terms))  # c_{k-1}, c_{k-2}, ..., scaled; c_{k-i} = 0 for k < i
+    window = [acc] + [0.0] * (len(ns) - 1)  # c_{k-1}, c_{k-2}, ..., scaled; c_{k-i} = 0 for k < i adds exactly 0.0
+    depths = range(len(ns))  # one index per term: a zip of the three lists, built at every step, cost more than the sum
     for k in range(1, w):
         t = 0.0
-        for (ni, a), c in zip(terms, window):
-            t += (ni - k) * a * c
+        for i in depths:
+            t += (ns[i] - k) * alphas[i] * window[i]
         v = t / (k * a0)
         if v > hi:
             shift = math.frexp(v)[1] - target
-            window = deque([math.ldexp(c, -shift) for c in window], maxlen=len(terms))
+            window = [math.ldexp(c, -shift) for c in window]
             v, acc, scale = math.ldexp(v, -shift), math.ldexp(acc, -shift), scale + shift
-        window.appendleft(v)
+        window.insert(0, v)
+        window.pop()
         if j:
             acc = math.ldexp(acc, -j)
         acc += v

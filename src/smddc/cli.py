@@ -124,7 +124,7 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     record["lambda_star"] = cb.lambda_star if cb.feasible and math.isfinite(cb.lambda_star) else None
     if closed_form:
         record["exact_p_se"] = analytic.exact_session_error(dist, spec)
-        # a second pass, ~40 us at W = 50, so that bench/spans.py still times exact_session_error here
+        # a second pass, ~20-25 us at W = 50 and L <= 2, so that bench/spans.py still times exact_session_error here
         log_p = analytic.log_session_error(dist, spec)
         record["log10_exact_p_se"] = log_p / math.log(10.0) if log_p > -math.inf else None
     return record

@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+from collections import deque
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from smddc import (
     oma_session_error_binomial,
     x_k1,
 )
-from smddc.analytic import _frexp_power
+from smddc.analytic import _LOG2, _frexp_power
 
 
 def k1_quadrature(x):
@@ -764,3 +765,71 @@ def test_log_session_error_clamps_tiny_negative_entries():
     clamped = log_session_error(PacketCountDistribution((0.3, 0.7 + 5e-13, -5e-13)), spec)
     assert clamped == log_session_error(PacketCountDistribution((0.3, 0.7 + 5e-13)), spec)
     assert math.isfinite(clamped)
+
+
+def _reference_log_session_error(dist, spec):
+    """log_session_error's recurrence with its window in a deque and its terms as (n_i, alpha_i) pairs.
+
+    The same scaling, the same rescales and the same left-to-right sum of each step's terms, so
+    log_session_error must equal it bit for bit.
+    """
+    w, n = spec.w, spec.w_s
+    a0, *rest = (max(p, 0.0) for p in dist.probs)
+    if a0 == 0.0:
+        return -math.inf
+    growth = (math.ceil((math.log2(a) - math.log2(a0)) / i) for i, a in enumerate(rest, start=1) if a > 0.0)
+    j = max(0, max(growth, default=0) - 256)
+    width = ((n + 1) * len(rest)).bit_length()
+    lift = min(-math.frexp(a0)[1], 1020 - width) if j else 0
+    m0, scale = _frexp_power(a0, n)
+    a0, terms = math.ldexp(a0, lift), [(float((n + 1) * i), math.ldexp(a, lift - j * i)) for i, a in enumerate(rest, 1)]
+    over = max(0, math.frexp(sum(a for _, a in terms))[1] - 1)
+    hi_exp = math.frexp(a0)[1] + 1017 - width - over
+    hi = math.ldexp(1.0, hi_exp)
+    target = (hi_exp - 1022) // 2
+    scale -= target
+    acc = math.ldexp(m0, target)
+    window = deque([acc], maxlen=len(terms))
+    for k in range(1, w):
+        t = 0.0
+        for (ni, a), c in zip(terms, window):
+            t += (ni - k) * a * c
+        v = t / (k * a0)
+        if v > hi:
+            shift = math.frexp(v)[1] - target
+            window = deque([math.ldexp(c, -shift) for c in window], maxlen=len(terms))
+            v, acc, scale = math.ldexp(v, -shift), math.ldexp(acc, -shift), scale + shift
+        window.appendleft(v)
+        if j:
+            acc = math.ldexp(acc, -j)
+        acc += v
+    m, e = math.frexp(acc)
+    return min(math.log(m) + (scale + e + j * (w - 1)) * _LOG2, 0.0)
+
+
+def _reference_laws():
+    rng = np.random.default_rng(23)
+    laws = [
+        (1.0,),  # never delivers: no terms at all
+        (0.3, 0.7, 0.0, 0.0),  # trailing zeros
+        (0.01, 0.99),  # 35 rescales at (5000, 5500)
+        _sdo_law(8).probs,
+        (1e-300, 1e-300, 0.5, 0.5),  # Newton-polygon scaling, j > 0, a rescale every few steps
+        (1e-250, 1e-250, 0.2, 0.3, 0.2, 0.3),
+        (5e-324, 0.3, 0.7),  # subnormal alpha_0
+        (5e-324, 0.2, 0.3, 0.5),
+    ]
+    for depth in range(7):  # random laws with zero and tiny entries, L = 0..6
+        for _ in range(2):
+            raw = rng.random(depth + 1) ** 3 + 1e-3
+            raw[1:] *= np.where(rng.random(depth) < 0.2, 0.0, 1.0) * 10.0 ** -rng.choice([0.0, 5.0, 300.0], depth)
+            laws.append(tuple(float(x) for x in raw / raw.sum()))
+    return laws
+
+
+@pytest.mark.parametrize("probs", _reference_laws())
+def test_log_session_error_equals_reference_bit_for_bit(probs):
+    dist = PacketCountDistribution(probs)
+    for w, w_s in ((1, 1), (1, 9), (2, 3), (7, 7), (50, 55), (333, 600), (2000, 2000), (5000, 5500), (5000, 10000)):
+        spec = SessionSpec(w, w_s)
+        assert log_session_error(dist, spec) == _reference_log_session_error(dist, spec), (w, w_s)

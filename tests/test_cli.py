@@ -237,7 +237,8 @@ def test_sweep_ws_longest_row_matches_simulate(capsys):
         _, sim, _ = run_cli(capsys, ["simulate", *common, "--policy", row["policy"], "--ws", "60"])
         (sim_row,) = _csv_rows(sim)
         assert (row["p_hat"], row["ci95_halfwidth"]) == (sim_row["p_hat"], sim_row["ci95_halfwidth"])
-    # a one-value sweep is one engine call at that length, with the bits it always had
+    # a one-value sweep is one engine call at that length; OMA and SDO read the dense levels
+    # alone, FO the screened deeper levels too
     code, out, _ = run_cli(capsys, [*sweep, "--values", "55"])
     assert code == 0 and [row["p_hat"] for row in _csv_rows(out)] == [
         "0.9949002549872507", "0.24813759312034397", "0.2423878806059697",
