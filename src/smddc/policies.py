@@ -18,9 +18,10 @@ are the Monte Carlo simulator's inner loop; each is one call into
 _prefix_counts.  Multi-level gains come with the level on the last axis, so
 a caller that passes np.moveaxis(level_major, 0, -1) hands the kernel one
 contiguous slab per level.  The symmetric and FO kernels can take their
-deeper levels from a callable instead, which draws each level only for the
-slots that are still within budget, and only among the slots that a second
-callable picks from the counts of the first levels.  Gains are only read;
+deeper levels from a callable deeper(level, keep) instead, which draws a
+level only for the slots still within budget, in passes over the slots
+that a second callable picks from the counts of the first levels, each
+pass from level 0.  Gains are only read;
 counts come back new, in the narrowest unsigned integer dtype that holds
 the per-slot cap.
 """
@@ -123,17 +124,18 @@ def _prefix_counts(levels, rhos, omega, deeper=None, passes=None):
     """Per slot, the number of leading levels whose running cost, the sum of rhos[l] / levels[l], is <= omega.
 
     levels[l] holds the level-(l+1) gains of every slot; the levels of the
-    rest of `rhos` come from `deeper(keep)`, which returns the next level's
-    gains for the slots `keep`: indices into the slots of its previous
-    call, or into the flattened slots on a pass's first.  Costs are
-    positive, so the running cost rises and a slot over budget stays over:
-    the count is the number of running sums <= omega, and a deeper level is
-    drawn only for the slots still within budget.  With `passes`, the
-    deeper levels are drawn once for each of the disjoint boolean masks,
-    broadcast against the slots, of `passes(dense)`, in its order and for
-    its slots only, where `dense` is the counts of `levels` alone; without
-    it, once for every slot.  The gains are only read; the counts are a new
-    array of dtype np.min_scalar_type(len(rhos)).
+    rest of `rhos` come from `deeper(level, keep)`, which returns the gains
+    of that level, counted from 0 at the first one past `levels`, for the
+    slots `keep`: indices into the flattened slots at level 0 and into the
+    slots of the previous call after it.  Costs are positive, so the
+    running cost rises and a slot over budget stays over: the count is the
+    number of running sums <= omega, and a deeper level is drawn only for
+    the slots still within budget.  With `passes`, the deeper levels are
+    drawn once for each of the disjoint boolean masks, broadcast against
+    the slots, of `passes(dense)`, in its order and for its slots only,
+    where `dense` is the counts of `levels` alone; without it, once for
+    every slot.  The gains are only read; the counts are a new array of
+    dtype np.min_scalar_type(len(rhos)).
     """
     if len(levels) > len(rhos):
         raise ValueError(f"gains for {len(levels)} levels but costs for only {len(rhos)}")
@@ -152,10 +154,10 @@ def _prefix_counts(levels, rhos, omega, deeper=None, passes=None):
     for mask in [None] if passes is None else passes(n):
         alive = np.flatnonzero(fits if mask is None else fits & mask)
         keep, total = alive, spent[alive]
-        for rho in rest:
+        for level, rho in enumerate(rest):
             if not alive.size:
                 break
-            total += rho / deeper(keep)
+            total += rho / deeper(level, keep)
             keep = np.flatnonzero(total <= omega)
             alive, total = alive[keep], total[keep]
             counts[alive] += 1

@@ -47,7 +47,7 @@ DEFAULT_BATCH_SIZE = 1_000
 
 @dataclass(frozen=True)
 class SessionStats:
-    """Monte Carlo estimate of the session error probability with a 95% CI."""
+    """A session error estimate; ci95_halfwidth is its Wald half-width, 0.0 if no or every session fails."""
 
     trials: int
     errors: int
@@ -64,29 +64,23 @@ class DescendingCrossGains:
     a_{j+1} = a_j + E_{j+1}/(m-j) are minus the logs of the CDF values of
     the m gains in descending order, and the level-j gain is
     gain_from_neg_log_cdf(a_j).  `best`, the top level, is drawn for every
-    slot of `shape`.  Each call draws the next level only for the slots
-    `keep` (indices into the slots of the previous level, flattened), so a
-    level depends only on the levels above it.  `passes` restarts the
-    descent at `best` for each pass of a kernel.
+    slot of `shape`.  A call (level, keep) is a kernel's `deeper`: it draws
+    the level below `best` by 1 + level only for the slots `keep`, indices
+    into the flattened slots of `best` at level 0 and into the slots of
+    the previous call after it, so a level depends only on the levels
+    above it, and each pass of a kernel starts again at `best`.
     """
 
     def __init__(self, stream: RngStream, m: int, shape):
         self._stream, self._m = stream, m
         self._top = draw_exponential(stream, 1.0 / m, shape)
         self.best = gain_from_neg_log_cdf(self._top)
-        self._a, self._level = self._top.reshape(-1), 1
 
-    def __call__(self, keep):
-        self._a = a = self._a[keep]  # a new array: the level above stays as it was
-        a += draw_exponential(self._stream, 1.0 / (self._m - self._level), size=a.size)
-        self._level += 1
+    def __call__(self, level, keep):
+        above = self._top.reshape(-1) if level == 0 else self._a
+        self._a = a = above[keep]  # a new array: the level above stays as it was
+        a += draw_exponential(self._stream, 1.0 / (self._m - 1 - level), size=a.size)
         return gain_from_neg_log_cdf(a)
-
-    def passes(self, masks):
-        """Each of `masks`, with the next call's `keep` indexing the flattened slots of `best` again."""
-        for mask in masks:
-            self._a, self._level = self._top.reshape(-1), 1
-            yield mask
 
 
 def _undecided(dense, lengths, w: int):
@@ -126,9 +120,10 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     every level before them and, given the ascending session `lengths`
     (shape is then (lengths[-1], sessions)), only in the passes of
     _undecided: elsewhere the counts stop at the dense levels' and still
-    decide every session at every length.  SDO and FO share the same
-    draws, so SDO's count is FO's capped at 2.  The counts returned are the
-    kernel's own new array.
+    decide every session at every length.  FO's deeper(level, keep) is the
+    cross-gain sampler, symmetric's one Exp(1) per kept slot.  SDO draws
+    as FO does, so its count is FO's capped at 2.  The counts returned are
+    the kernel's own new array.
     """
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
@@ -137,7 +132,7 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
         dense = (min(policy.depth, 2),) + shape
         gains = draw_exponential(stream, 1.0, dense)
         return policies.symmetric_packet_counts(
-            np.moveaxis(gains, 0, -1), rho, omega, lambda keep: draw_exponential(stream, 1.0, size=keep.size), passes
+            np.moveaxis(gains, 0, -1), rho, omega, lambda _, keep: draw_exponential(stream, 1.0, size=keep.size), passes
         )
     own = draw_exponential(stream, 1.0, shape)
     if policy.variant == "oma":
@@ -145,8 +140,7 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     cross = DescendingCrossGains(stream, config.k - 1, shape)
     if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
         return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega)
-    restarted = None if passes is None else lambda dense: cross.passes(passes(dense))
-    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1, restarted)
+    return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1, passes)
 
 
 def _families(policies, k: int):
@@ -237,6 +231,8 @@ def estimate_session_error_curves(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     policies = list(policies)
+    if not policies:
+        raise ValueError("policies holds no policy")
     lengths = sorted({SessionSpec(config.w, w_s).w_s for w_s in w_s_values})  # ints, each w_s >= w >= 1
     if not lengths:
         raise ValueError("w_s_values holds no session length")

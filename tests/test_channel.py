@@ -114,7 +114,7 @@ def all_levels(stream, m, n):
     """All m descending cross gains of n slots, with no slot ever dropped."""
     cross = DescendingCrossGains(stream, m, (n,))
     every = np.arange(n)
-    return np.stack([cross.best] + [cross(every) for _ in range(m - 1)])
+    return np.stack([cross.best] + [cross(level, every) for level in range(m - 1)])
 
 
 # Two-sample KS critical value at alpha = 0.001 per level (ten levels in all).
@@ -153,22 +153,22 @@ def test_cross_gains_follow_kept_slots():
     cross = DescendingCrossGains(RngStream(11, 0), 5, (4, 250))
     best = cross.best.ravel()
     keep = np.flatnonzero(best > 1.0)
-    second = cross(keep)
+    second = cross(0, keep)
     assert second.shape == keep.shape
     assert (second <= best[keep]).all()
-    third = cross(np.arange(0, keep.size, 2))
+    third = cross(1, np.arange(0, keep.size, 2))
     assert (third <= second[::2]).all()
 
 
 def test_cross_gains_restart_at_best_for_each_pass():
-    # each pass's first call indexes the flattened slots of `best` again,
-    # however deep the pass before it went
+    # each pass's first call, at level 0, indexes the flattened slots of
+    # `best` again, however deep the pass before it went
     cross = DescendingCrossGains(RngStream(12, 0), 5, (4, 250))
     best = cross.best.ravel()
-    for first in cross.passes([np.flatnonzero(best > 1.0), np.flatnonzero(best <= 1.0)]):
-        second = cross(first)
+    for first in [np.flatnonzero(best > 1.0), np.flatnonzero(best <= 1.0)]:
+        second = cross(0, first)
         assert (second <= best[first]).all()
-        third = cross(np.arange(second.size))
+        third = cross(1, np.arange(second.size))
         assert (third <= second).all() and third.size == first.size
 
 

@@ -218,14 +218,14 @@ def test_scalar_matches_vectorized():
 
 
 def lazy_feed(levels):
-    """A kernel's `deeper` callable that serves levels[..., 1], levels[..., 2], ... for the kept slots."""
+    """A kernel's `deeper` callable that serves levels[..., 1 + level] for the kept slots."""
     rows = levels.reshape(-1, levels.shape[-1])
-    state = {"slots": np.arange(len(rows)), "level": 0}
+    slots = None
 
-    def deeper(keep):
-        state["slots"] = state["slots"][keep]
-        state["level"] += 1
-        return rows[state["slots"], state["level"]]
+    def deeper(level, keep):
+        nonlocal slots
+        slots = keep if level == 0 else slots[keep]
+        return rows[slots, 1 + level]
 
     return deeper
 
@@ -255,24 +255,22 @@ def test_symmetric_lazy_levels_match_dense():
 
 
 def test_passes_draw_the_deeper_levels_of_their_slots_only():
-    # each pass restarts the feed at the flattened slots, as the simulator's
-    # cross gains do; a slot outside every pass keeps the count of the
-    # levels given, one inside gets the count of all of them
+    # each pass starts again at level 0, indexing the flattened slots; a
+    # slot outside every pass keeps the count of the levels given, one
+    # inside gets the count of all of them
     rng = np.random.default_rng(31)
     gains = rng.exponential(1, (40, 300, 5))
     rhos = np.asarray(build_ladder(1, 1, 5).levels)
     first = rng.random(300) < 0.2  # sessions: broadcast over the slot axis
     second = (rng.random((40, 300)) < 0.5) & ~first  # slots, apart from the first pass's
     dense = symmetric_packet_counts(gains[..., :2], rhos[:2], 50.0)
-    seen, feed = [], {}
+    seen = []
 
     def passes(counts):
         seen.append(counts.copy())
-        for mask in (first, second):
-            feed["deeper"] = lazy_feed(gains[..., 1:])
-            yield mask
+        return [first, second]
 
-    counts = symmetric_packet_counts(gains[..., :2], rhos, 50.0, lambda keep: feed["deeper"](keep), passes)
+    counts = symmetric_packet_counts(gains[..., :2], rhos, 50.0, lazy_feed(gains[..., 1:]), passes)
     assert len(seen) == 1 and np.array_equal(seen[0], dense)
     full = symmetric_packet_counts(gains, rhos, 50.0)
     assert np.array_equal(counts, np.where(first | second, full, dense))

@@ -1,5 +1,7 @@
+import inspect
 import math
 import tracemalloc
+from collections import Counter
 from concurrent.futures import Future
 from dataclasses import replace
 
@@ -20,7 +22,7 @@ from smddc import (
     exact_session_error,
     mean_packets,
 )
-from smddc import simulator
+from smddc import analytic, simulator
 from smddc.simulator import _run_batches, _slot_counts
 
 ALL_POLICIES = (PolicyKind.oma(), PolicyKind.symmetric(3), PolicyKind.sdo(), PolicyKind.fo())
@@ -449,3 +451,61 @@ def test_curves_are_keyed_by_int_lengths():
 def test_curves_reject_invalid_lengths(w_s_values, message):
     with pytest.raises(ValueError, match=message):
         estimate_session_error_curves([PolicyKind.oma()], CFG, w_s_values, trials=100)
+
+
+def test_curves_reject_no_policy():
+    with pytest.raises(ValueError, match="holds no policy"):
+        estimate_session_error_curves([], CFG, (55, 60), trials=100)
+
+
+@pytest.mark.parametrize(
+    "policy,cfg,lengths,errors",
+    [
+        (
+            PolicyKind.fo(),
+            SystemConfig(gamma=4, omega=10, k=8, w=50),
+            list(range(50, 71, 2)),
+            [4662, 4335, 3911, 3374, 2710, 2086, 1522, 1064, 687, 415, 231],
+        ),
+        (PolicyKind.symmetric(4), SystemConfig(gamma=0.5, omega=1.5, k=6, w=50), [50, 55, 57], [1500, 433, 242]),
+    ],
+    ids=["fo", "sym4"],
+)
+def test_second_pass_draw_order_is_pinned(policy, cfg, lengths, errors, monkeypatch):
+    # literal error counts: every batch screens its deeper levels in two non-empty passes,
+    # so any change to the order in which either pass draws its levels moves them
+    passes, undecided = [], simulator._undecided
+
+    def spied(dense, lengths, w):
+        masks = undecided(dense, lengths, w)
+        passes.append([bool(mask.any()) for mask in masks])
+        return masks
+
+    monkeypatch.setattr(simulator, "_undecided", spied)
+    curves = estimate_session_error_curves([policy], cfg, lengths, trials=5_000, seed=3)
+    assert passes == [[True, True]] * 5
+    assert [curves[w_s][0].errors for w_s in lengths] == errors
+
+
+def test_engine_calls_no_public_analytic_function(monkeypatch, tmp_path):
+    # bench/spans.py counts each call of a public smddc.analytic function as analytic
+    # work, and the Monte Carlo workloads expect none; the calls are logged to a file,
+    # so those made in forked workers count too
+    log = tmp_path / "calls"
+    log.touch()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            with open(log, "a") as f:
+                f.write(name + "\n")
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in inspect.getmembers(analytic, inspect.isfunction):
+        if fn.__module__ == analytic.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(analytic, name, counted(name, fn))
+    for policy in ALL_POLICIES:
+        estimate_session_error(policy, CFG, trials=2_000)
+    estimate_session_error_curves(ALL_POLICIES, CFG, (50, 55), trials=2_000, workers=2)
+    assert Counter(log.read_text().split()) == {}
