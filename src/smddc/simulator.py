@@ -24,10 +24,15 @@ requested length, and only in their slots up to the longest such length
 (see _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the
 dense levels alone, so the screen leaves their bits as they were.
 
-Every draw and every kernel returns a new array, and the survivors of
-deeper levels (FO, symmetric L >= 3) are compacted into new arrays; only
-the cap of a family's counts works in place.  At W_S = 55 a 1,000-session
-batch keeps a level in 0.44 MB.
+A run of batches (one per worker, or the serial path) draws its dense
+levels into one set of buffers, sized for its first and largest batch; a
+smaller last batch takes their contiguous prefix.  So later batches reuse
+memory the run has already touched, where a new array per batch let the C
+heap be trimmed and faulted back in on every batch.  The buffers go with
+the run.  Every kernel returns a new array, and the survivors of deeper
+levels (FO, symmetric L >= 3) are compacted into new arrays; only the cap
+of a family's counts works in place.  At W_S = 55 a 1,000-session batch
+keeps a level in 0.44 MB.
 """
 
 import math
@@ -64,17 +69,18 @@ class DescendingCrossGains:
     a_{j+1} = a_j + E_{j+1}/(m-j) are minus the logs of the CDF values of
     the m gains in descending order, and the level-j gain is
     gain_from_neg_log_cdf(a_j).  `best`, the top level, is drawn for every
-    slot of `shape`.  A call (level, keep) is a kernel's `deeper`: it draws
+    slot of `shape`, into the arrays `top` and `best` if given (new ones
+    if None).  A call (level, keep) is a kernel's `deeper`: it draws
     the level below `best` by 1 + level only for the slots `keep`, indices
     into the flattened slots of `best` at level 0 and into the slots of
     the previous call after it, so a level depends only on the levels
     above it, and each pass of a kernel starts again at `best`.
     """
 
-    def __init__(self, stream: RngStream, m: int, shape):
+    def __init__(self, stream: RngStream, m: int, shape, top=None, best=None):
         self._stream, self._m = stream, m
-        self._top = draw_exponential(stream, 1.0 / m, shape)
-        self.best = gain_from_neg_log_cdf(self._top)
+        self._top = draw_exponential(stream, 1.0 / m, shape, out=top)
+        self.best = gain_from_neg_log_cdf(self._top, out=best)
 
     def __call__(self, level, keep):
         above = self._top.reshape(-1) if level == 0 else self._a
@@ -110,7 +116,21 @@ def _undecided(dense, lengths, w: int):
     return passes
 
 
-def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape, lengths=None):
+def _buffer(buffers, name, shape):
+    """The run's float64 buffer `name` as an array of `shape`; None, for a new array, if buffers is None.
+
+    A run's first batch is its largest, so each buffer is made for it, and
+    a smaller last batch takes its contiguous prefix.
+    """
+    if buffers is None:
+        return None
+    size = math.prod(shape)
+    if name not in buffers:
+        buffers[name] = np.empty(size)
+    return buffers[name][:size].reshape(shape)
+
+
+def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape, lengths=None, buffers=None):
     """Vectorized per-slot packet counts over an array of slots of the given shape.
 
     Every slot draws its own gain and, for SDO and FO, its best cross gain;
@@ -122,22 +142,25 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     _undecided: elsewhere the counts stop at the dense levels' and still
     decide every session at every length.  FO's deeper(level, keep) is the
     cross-gain sampler, symmetric's one Exp(1) per kept slot.  SDO draws
-    as FO does, so its count is FO's capped at 2.  The counts returned are
-    the kernel's own new array.
+    as FO does, so its count is FO's capped at 2.  The dense levels are
+    drawn into the dict `buffers` (see _buffer), good until its next
+    batch, or into new arrays if None; the counts returned are the
+    kernel's own new array.
     """
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
     passes = None if lengths is None else lambda dense: _undecided(dense, lengths, config.w)
     if policy.variant == "sym":
         dense = (min(policy.depth, 2),) + shape
-        gains = draw_exponential(stream, 1.0, dense)
+        gains = draw_exponential(stream, 1.0, dense, out=_buffer(buffers, "levels", dense))
         return policies.symmetric_packet_counts(
             np.moveaxis(gains, 0, -1), rho, omega, lambda _, keep: draw_exponential(stream, 1.0, size=keep.size), passes
         )
-    own = draw_exponential(stream, 1.0, shape)
+    own = draw_exponential(stream, 1.0, shape, out=_buffer(buffers, "own", shape))
     if policy.variant == "oma":
         return policies.oma_packet_counts(own, rho[0], omega)
-    cross = DescendingCrossGains(stream, config.k - 1, shape)
+    top, best = (_buffer(buffers, name, shape) for name in ("top", "best"))
+    cross = DescendingCrossGains(stream, config.k - 1, shape, top, best)
     if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
         return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega)
     return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1, passes)
@@ -168,13 +191,14 @@ def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
     Each batch draws once per nested family, for the longest session and
     screened at `lengths`; the members, deepest first, cap the driver's
     counts in place, and each of the ascending `lengths` adds its slots
-    since the previous one to a running total.
+    since the previous one to a running total.  The batches draw their
+    dense levels into one set of buffers, dropped when the run ends.
     """
-    families = _families(policies, config.k)
+    families, buffers = _families(policies, config.k), {}
     errors = np.zeros((len(lengths), len(policies)), dtype=np.int64)
     for b, n_sessions in jobs:
         for driver, members in families:
-            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths)
+            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths, buffers)
             for i in members:
                 cap = policies[i].max_packets(config.k)
                 if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap

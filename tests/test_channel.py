@@ -48,33 +48,42 @@ def test_invalid_mean():
 
 @pytest.mark.parametrize("mean", [1.0, 1 / 2, 1 / 7])
 def test_draw_into_buffer_matches_generator(mean):
-    # means 1 and 1/m, m = K-1 for K = 3 and 8: the same bits as the generator's own draw
+    # means 1 and 1/m, m = K-1 for K = 3 and 8: the same bits as the generator's own draw,
+    # in a new array and in a buffer `out` that held other values
     size = (2, 55, 300)
     got = draw_exponential(RngStream(14, 2), mean, size)
     assert got.tobytes() == RngStream(14, 2).generator.exponential(mean, size).tobytes()
+    buf = np.full(size, -1.0)
+    assert draw_exponential(RngStream(14, 2), mean, size, out=buf) is buf
+    assert buf.tobytes() == got.tobytes()
+
+
+class ZeroingGenerator:
+    """A PCG64 generator whose standard draws are zero at every 1000th entry and whose first two redraws are half zero."""
+
+    def __init__(self, seed):
+        self.real, self.redraws = RngStream(seed).generator, []
+
+    def standard_exponential(self, size=None, out=None):
+        out = self.real.standard_exponential(size, out=out)
+        out[::1000] = 0.0
+        return out
+
+    def exponential(self, mean, count):
+        self.redraws.append(count)
+        values = self.real.exponential(mean, count)
+        if len(self.redraws) < 3:
+            values[::2] = 0.0
+        return values
 
 
 def test_zero_draws_are_redrawn_through_one_mask(monkeypatch):
     # the generator is made to return zeros, and zeros again on two redraws:
     # every zero is redrawn until none is left, and the passes share one
     # mask (a new mask per pass would double the peak above the output)
-    n, redraws, real = 10**6, [], RngStream(15).generator
-
-    class ZeroingGenerator:
-        def standard_exponential(self, size=None):
-            out = real.standard_exponential(size)
-            out[::1000] = 0.0
-            return out
-
-        def exponential(self, mean, count):
-            redraws.append(count)
-            values = real.exponential(mean, count)
-            if len(redraws) < 3:
-                values[::2] = 0.0
-            return values
-
-    stream = RngStream(15)
-    monkeypatch.setattr(stream, "generator", ZeroingGenerator())
+    n, stream, fake = 10**6, RngStream(15), ZeroingGenerator(15)
+    redraws = fake.redraws
+    monkeypatch.setattr(stream, "generator", fake)
     tracemalloc.start()
     try:
         got = draw_exponential(stream, 0.5, n)
@@ -84,6 +93,15 @@ def test_zero_draws_are_redrawn_through_one_mask(monkeypatch):
     assert (got > 0).all()
     assert redraws == [1000, 500, 250]
     assert peak - got.nbytes < 1.5 * n  # the output and one bool mask of n bytes
+
+
+def test_zero_draws_are_redrawn_into_out(monkeypatch):
+    n, stream = 10**5, RngStream(16)
+    monkeypatch.setattr(stream, "generator", ZeroingGenerator(16))
+    buf = np.full(n, -1.0)
+    got = draw_exponential(stream, 0.5, n, out=buf)
+    assert got is buf and (buf > 0).all()
+    assert stream.generator.redraws == [100, 50, 25]
 
 
 def test_max_cross_gain_cdf():
@@ -196,3 +214,12 @@ def test_draw_needs_a_size():
     # a scalar draw raised AttributeError on the zero check; every caller draws an array
     with pytest.raises(TypeError, match="size"):
         draw_exponential(RngStream(1), 1.0)
+
+
+def test_gain_from_neg_log_cdf_into_out_matches_a_new_array():
+    a = draw_exponential(RngStream(17), 1 / 7, (55, 300))
+    kept, buf = a.copy(), np.full(a.shape, -1.0)
+    got = gain_from_neg_log_cdf(a, out=buf)
+    assert got is buf
+    assert buf.tobytes() == gain_from_neg_log_cdf(a).tobytes()
+    assert a.tobytes() == kept.tobytes()

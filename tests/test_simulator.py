@@ -310,6 +310,40 @@ def test_batches_of_a_run_carry_nothing_between_them(cfg, policies):
         assert [s.errors for s in stats] == fresh
 
 
+@pytest.mark.parametrize(
+    "cfg,policies,per_batch",
+    [
+        (SystemConfig(gamma=4, omega=10, k=8, w=50, w_s=60), [PolicyKind.oma(), PolicyKind.sdo(), PolicyKind.fo()], 3),
+        (SystemConfig(gamma=0.5, omega=1.5, k=6, w=50, w_s=55), [PolicyKind.oma(), PolicyKind.symmetric(3)], 1),
+    ],
+    ids=["cross", "own"],
+)
+def test_batches_of_a_run_draw_into_its_first_batch_memory(cfg, policies, per_batch, monkeypatch):
+    # 2,500 sessions in batches of 1,000: each later batch draws its dense
+    # levels (own gain, top cross level and best cross gain; symmetric
+    # levels 1-2) into the first batch's arrays, the 500-session last batch
+    # into a prefix of them
+    dense = []  # each dense level as drawn, in order; 1-D draws are deeper levels
+
+    def spied(fn):
+        def spy(*args, **kwargs):
+            got = fn(*args, **kwargs)
+            if got.ndim > 1:
+                dense.append(got)
+            return got
+
+        return spy
+
+    for name in ("draw_exponential", "gain_from_neg_log_cdf"):
+        monkeypatch.setattr(simulator, name, spied(getattr(simulator, name)))
+    estimate_session_error_curves(policies, cfg, (cfg.w_s,), 2_500, seed=27, batch_size=1_000)
+    assert len(dense) == 3 * per_batch
+    first, *later = (dense[i : i + per_batch] for i in range(0, len(dense), per_batch))
+    assert [a.shape[-1] for a in later[-1]] == [500] * per_batch
+    for batch in later:
+        assert all(np.shares_memory(a, b) for a, b in zip(first, batch))
+
+
 @pytest.mark.parametrize("batch_size", [1_000, 777])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
@@ -355,9 +389,9 @@ def test_no_deeper_draw_where_the_dense_levels_decide_every_session(policy, monk
     cfg = SystemConfig(gamma=4, omega=1e6, k=8, w=50, w_s=55)
     drawn = []
 
-    def counted(stream, mean, size):
+    def counted(stream, mean, size, out=None):
         drawn.append(int(np.prod(size)))
-        return draw_exponential(stream, mean, size)
+        return draw_exponential(stream, mean, size, out)
 
     monkeypatch.setattr(simulator, "draw_exponential", counted)
     _slot_counts(policy, cfg, RngStream(26, 0), (cfg.w_s, 1_000))
