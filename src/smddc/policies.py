@@ -21,9 +21,9 @@ contiguous slab per level.  The symmetric and FO kernels can take their
 deeper levels from a callable deeper(level, keep) instead, which draws a
 level only for the slots still within budget, in passes over the slots
 that a second callable picks from the counts of the first levels, each
-pass from level 0.  Gains are only read;
-counts come back new, in the narrowest unsigned integer dtype that holds
-the per-slot cap.
+pass the ascending flat indices of its slots and drawn from level 0.
+Gains are only read; counts come back new, in the narrowest unsigned
+integer dtype that holds the per-slot cap.
 """
 
 from dataclasses import dataclass
@@ -100,7 +100,7 @@ def symmetric_packet_counts(gains, rhos, omega, deeper=None, passes=None):
     """Packet counts for symmetric NOMA; gains[..., l] carries the level-(l+1) packet, at cost rhos[l].
 
     `gains` holds the first levels; the rest of `rhos`, if any, come from
-    `deeper`, for the slots of `passes` (see _prefix_counts).
+    `deeper`, for the slots of `passes`, ascending flat slot indices (see _prefix_counts).
     """
     return _prefix_counts(np.moveaxis(gains, -1, 0), rhos, omega, deeper, passes)
 
@@ -114,7 +114,7 @@ def fo_packet_counts(own, top, rho1, rho2, omega, deeper=None, m=None, passes=No
     """Packet counts for FO-NOMA over the m cross gains of each slot (m defaults to top.shape[-1]).
 
     top[..., j] holds the best of them in descending order; the rest come
-    from `deeper`, for the slots of `passes` (see _prefix_counts).
+    from `deeper`, for the slots of `passes`, ascending flat slot indices (see _prefix_counts).
     """
     m = np.shape(top)[-1] if m is None else m
     return _prefix_counts((own, *np.moveaxis(top, -1, 0)), (rho1,) + (rho2,) * m, omega, deeper, passes)
@@ -131,11 +131,11 @@ def _prefix_counts(levels, rhos, omega, deeper=None, passes=None):
     running cost rises and a slot over budget stays over: the count is the
     number of running sums <= omega, and a deeper level is drawn only for
     the slots still within budget.  With `passes`, the deeper levels are
-    drawn once for each of the disjoint boolean masks, broadcast against
-    the slots, of `passes(dense)`, in its order and for its slots only,
-    where `dense` is the counts of `levels` alone; without it, once for
-    every slot.  The gains are only read; the counts are a new array of
-    dtype np.min_scalar_type(len(rhos)).
+    drawn once for each of the disjoint passes of `passes(dense)`, each the
+    ascending indices of its slots in the flattened slots, in its order and
+    for its slots only, where `dense` is the counts of `levels` alone;
+    without it, once for every slot.  The gains are only read; the counts
+    are a new array of dtype np.min_scalar_type(len(rhos)).
     """
     if len(levels) > len(rhos):
         raise ValueError(f"gains for {len(levels)} levels but costs for only {len(rhos)}")
@@ -150,9 +150,9 @@ def _prefix_counts(levels, rhos, omega, deeper=None, passes=None):
         return n
     if deeper is None:
         raise ValueError(f"no gains for the last {len(rest)} levels")
-    spent, counts = spent.reshape(-1), n.reshape(-1)  # n is new, so counts is a view of it
-    for mask in [None] if passes is None else passes(n):
-        alive = np.flatnonzero(fits if mask is None else fits & mask)
+    spent, counts, fits = spent.reshape(-1), n.reshape(-1), fits.reshape(-1)  # n is new, so counts is a view of it
+    for slots in [None] if passes is None else passes(n):  # compress takes fits as nonzero: with one level, fits is n
+        alive = np.flatnonzero(fits) if slots is None else np.compress(fits[slots], slots)  # faster than a boolean index
         keep, total = alive, spent[alive]
         for level, rho in enumerate(rest):
             if not alive.size:

@@ -20,9 +20,10 @@ levels 1 and 2, are drawn for every slot.  A session whose dense total
 reaches w at a length succeeds there under every member, since a deeper
 level only adds packets; so the deeper levels (FO's further cross gains,
 symmetric l >= 3) are drawn only for the sessions short of w at some
-requested length, and only in their slots up to the longest such length
-(see _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the
-dense levels alone, so the screen leaves their bits as they were.
+requested length, and only in their slots up to the longest such length,
+in two passes, each the ascending flat indices of its slots (see
+_undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the dense
+levels alone, so the screen leaves their bits as they were.
 
 A run of batches (one per worker, or the serial path) draws its dense
 levels into one set of buffers, sized for its first and largest batch; a
@@ -89,8 +90,16 @@ class DescendingCrossGains:
         return gain_from_neg_log_cdf(a)
 
 
+def _short_of(w: int, counts, lengths, cap: int):
+    """For each ascending length l, which sessions (columns of `counts`, each <= cap) total < w in slots [0, l)."""
+    totals = np.zeros(counts.shape[1], np.min_scalar_type(lengths[-1] * cap))  # holds each total
+    for prev, w_s in zip([0, *lengths], lengths):
+        totals += counts[prev:w_s].sum(axis=0, dtype=totals.dtype)
+        yield totals < w
+
+
 def _undecided(dense, lengths, w: int):
-    """The slot masks of one batch's deeper-level passes, from the counts `dense` of its dense levels.
+    """The passes of a batch's deeper levels, as ascending flat slot indices, from the counts `dense` of its dense levels.
 
     A session whose dense total reaches w at a length succeeds there under
     every policy drawn from these levels, since the deeper levels only add
@@ -99,21 +108,16 @@ def _undecided(dense, lengths, w: int):
     covers the sessions short at lengths[-1], over all their slots: all
     that a call with lengths[-1] alone would draw.  The second covers the
     sessions short only at shorter lengths, each over its slots [0, l).
-    Both are functions of `dense` alone.
+    Each is built from its sessions' columns alone, and both are functions of `dense` alone.
     """
-    dtype = np.min_scalar_type(2 * lengths[-1])  # holds each total (2 dense levels at most) and each length
-    totals, short, prev = np.zeros(dense.shape[1], dtype), np.zeros(dense.shape[1], np.intp), 0
-    for w_s in lengths:
-        totals += dense[prev:w_s].sum(axis=0, dtype=dtype)
-        short += totals < w
-        prev = w_s
-    limit = np.array([0, *lengths], dtype)[short]  # a session is short at the `short` shortest lengths
-    longest = limit == lengths[-1]
-    rest = np.where(longest, 0, limit)
-    passes = [longest] if longest.any() else []
-    if rest.any():
-        passes.append(np.arange(lengths[-1], dtype=dtype)[:, None] < rest)
-    return passes
+    short = list(_short_of(w, dense, lengths, 2))  # a session short at a length is short at every shorter one
+    if not short[0].any():  # so none is short: most batches, where the dense levels nearly always suffice
+        return []
+    rows, longest = np.arange(lengths[-1])[:, None] * dense.shape[1], short[-1]  # slot (t, s) is rows[t] + s
+    # a session short at lengths[j] needs its slots [lengths[j-1], lengths[j]): segment by segment, they ascend
+    rest = [(rows[a:b] + np.flatnonzero(s != longest)).reshape(-1) for a, b, s in zip([0, *lengths], lengths, short)]
+    passes = (rows + np.flatnonzero(longest)).reshape(-1), np.concatenate(rest)
+    return [p for p in passes if p.size]
 
 
 def _buffer(buffers, name, shape):
@@ -203,12 +207,7 @@ def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
                 cap = policies[i].max_packets(config.k)
                 if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
                     np.minimum(counts, cap, out=counts)
-                dtype = np.min_scalar_type(lengths[-1] * cap)
-                totals, prev = np.zeros(n_sessions, dtype), 0
-                for j, w_s in enumerate(lengths):
-                    totals += counts[prev:w_s].sum(axis=0, dtype=dtype)
-                    prev = w_s
-                    errors[j, i] += np.count_nonzero(totals < config.w)
+                errors[:, i] += [np.count_nonzero(short) for short in _short_of(config.w, counts, lengths, cap)]
     return errors
 
 

@@ -165,16 +165,17 @@ def test_public_validators_reject_nan(call, message):
 @functools.lru_cache(maxsize=None)
 def _alternating_sum_term(m, rho1, rho2, omega):
     """exp(-(rho1 + m*rho2)/omega) x K1(x), x = 2 sqrt(m rho1 rho2)/omega, at 80 digits; cached, as every K
-    reuses the terms.  Below x = 1, mpmath.besselk sums a short ascending series.  From x = 1 on, 80-digit
-    besselk takes up to a second for x of a few tens, so K1(x), the integral of e^{-x cosh t} cosh t over
-    t >= 0, is integrated directly, cut at acosh(1 + 190/x), where the integrand has fallen by e^-190.  In
-    v = sqrt(2x) sinh(t/2) it is e^-x times the integral of e^{-v^2} (1 + v^2/x) 2/sqrt(2x + v^2) over
-    [0, sqrt(190)]: a bell of width 1 for every x, where in t it narrows as 1/sqrt(x) and quad lost digits
-    above x ~ 150."""
+    reuses the terms.  Below x = 2, mpmath.besselk sums a short ascending series (about 15 ms).  From x = 2
+    on, 80-digit besselk takes up to a second for x of a few tens, so K1(x), the integral of
+    e^{-x cosh t} cosh t over t >= 0, is integrated directly, cut at acosh(1 + 190/x), where the integrand
+    has fallen by e^-190.  In v = sqrt(2x) sinh(t/2) it is e^-x times the integral of
+    e^{-v^2} (1 + v^2/x) 2/sqrt(2x + v^2) over [0, sqrt(190)]: a bell of width 1 for every x, where in t it
+    narrows as 1/sqrt(x) and quad lost digits above x ~ 150.  Its pole at v = i sqrt(2x) nears the axis as
+    x falls, and below x ~ 1.5 Gauss-Legendre needs degree 8, whose 80-digit nodes take 3.5 s to compute."""
     with mpmath.workdps(80):
         rho1, rho2, omega = mpmath.mpf(rho1), mpmath.mpf(rho2), mpmath.mpf(omega)
         x = 2 * mpmath.sqrt(m * rho1 * rho2) / omega
-        if x < 1:
+        if x < 2:
             k1 = mpmath.besselk(1, x)
         else:
             bell = lambda v: mpmath.exp(-v * v) * (1 + v * v / x) * 2 / mpmath.sqrt(2 * x + v * v)  # noqa: E731

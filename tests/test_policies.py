@@ -255,26 +255,29 @@ def test_symmetric_lazy_levels_match_dense():
 
 
 def test_passes_draw_the_deeper_levels_of_their_slots_only():
-    # each pass starts again at level 0, indexing the flattened slots; a
-    # slot outside every pass keeps the count of the levels given, one
-    # inside gets the count of all of them
+    # each pass, the ascending flat indices of its slots, starts again at
+    # level 0; a slot outside every pass keeps the count of the `given`
+    # levels, one inside gets the count of all of them
     rng = np.random.default_rng(31)
     gains = rng.exponential(1, (40, 300, 5))
     rhos = np.asarray(build_ladder(1, 1, 5).levels)
-    first = rng.random(300) < 0.2  # sessions: broadcast over the slot axis
-    second = (rng.random((40, 300)) < 0.5) & ~first  # slots, apart from the first pass's
-    dense = symmetric_packet_counts(gains[..., :2], rhos[:2], 50.0)
-    seen = []
-
-    def passes(counts):
-        seen.append(counts.copy())
-        return [first, second]
-
-    counts = symmetric_packet_counts(gains[..., :2], rhos, 50.0, lazy_feed(gains[..., 1:]), passes)
-    assert len(seen) == 1 and np.array_equal(seen[0], dense)
+    first = np.broadcast_to(rng.random(300) < 0.2, (40, 300))  # every slot of its sessions
+    stop = np.where(first[0] | (rng.random(300) < 0.5), 0, rng.integers(1, 40, 300))  # other sessions stop below 40
+    second = np.arange(40)[:, None] < stop
+    assert second.any() and not (second & first).any() and not second[-1].any()
     full = symmetric_packet_counts(gains, rhos, 50.0)
-    assert np.array_equal(counts, np.where(first | second, full, dense))
-    assert (full[first | second] > 2).any() and (full[~(first | second)] > 2).any()
+    for given in (1, 2):
+        dense = symmetric_packet_counts(gains[..., :given], rhos[:given], 50.0)
+        seen = []
+
+        def passes(counts):
+            seen.append(counts.copy())
+            return [np.flatnonzero(first), np.flatnonzero(second)]
+
+        counts = symmetric_packet_counts(gains[..., :given], rhos, 50.0, lazy_feed(gains[..., given - 1 :]), passes)
+        assert len(seen) == 1 and np.array_equal(seen[0], dense)
+        assert np.array_equal(counts, np.where(first | second, full, dense))
+        assert (full[second] > given).any() and (full[~(first | second)] > given).any()
 
 
 def test_oma_rate_matches_beta1():

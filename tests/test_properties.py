@@ -1,0 +1,128 @@
+"""Property-based checks: the exact recurrence against exact rational arithmetic, and the engine's curves.
+
+Every property runs derandomized, so the examples are fixed and tier-1 stays deterministic.  That
+family members nest session by session is a property in test_simulator.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smddc import (
+    PacketCountDistribution,
+    PolicyKind,
+    SessionSpec,
+    SystemConfig,
+    estimate_session_error_curves,
+    log_session_error,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def rational_session_error(probs, spec) -> Fraction:
+    """Pr(sum of w_s iid counts < w), exactly: the first w coefficients of P(z)**w_s, truncated at degree w - 1.
+
+    Every float is an exact dyadic rational, so with den the largest of their denominators P(z) is
+    an integer polynomial over den, and the coefficients are exact integers over den**w_s: the
+    session error of the law as given, with no rounding anywhere and nothing shared with the
+    recurrence or its scaling.
+    """
+    alphas = [Fraction(max(p, 0.0)) for p in probs]  # the recurrence clamps the entries of -1e-12 alike
+    den = max(a.denominator for a in alphas)  # a power of two, so every other denominator divides it
+    ints = [a.numerator * (den // a.denominator) for a in alphas]
+    coeffs = [1] + [0] * (spec.w - 1)
+    for _ in range(spec.w_s):
+        coeffs = [sum(a * coeffs[k - i] for i, a in enumerate(ints[: k + 1])) for k in range(spec.w)]
+    return Fraction(sum(coeffs), den**spec.w_s)
+
+
+def rational_log(p: Fraction) -> float:
+    """ln p to within an ulp or two, for any p > 0: the rounding to a double comes before the log, never after."""
+    if p > Fraction(1, 2):
+        return math.log1p(float(p - 1))  # p - 1 is exact, so nothing cancels near p = 1
+    e = p.numerator.bit_length() - p.denominator.bit_length()  # p / 2**e lies in (1/2, 2)
+    return math.log(float(p / Fraction(2) ** e)) + e * math.log(2.0)
+
+
+@st.composite
+def laws(draw):
+    """Laws of L = 1-4 packets: uniform weights raised to powers up to 20, so that alpha_0 can get tiny."""
+    depth = draw(st.integers(1, 4))
+    weights = [draw(st.floats(0.01, 1.0)) ** draw(st.integers(1, 20)) for _ in range(depth + 1)]
+    return PacketCountDistribution(tuple(x / sum(weights) for x in weights))
+
+
+@st.composite
+def specs(draw):
+    w = draw(st.integers(1, 25))
+    return SessionSpec(w, draw(st.integers(w, 40)))
+
+
+@PROPERTY
+@given(laws(), specs())
+def test_log_session_error_matches_rational_oracle(dist, spec):
+    # relative in ln p, down to |ln p| = 1; nearer p = 1 a double holds p to an ulp, not
+    # 1 - p, so there it is p that is held to 1e-12 relative (see the xfail below)
+    exact = rational_log(rational_session_error(dist.probs, spec))
+    assert abs(log_session_error(dist, spec) - exact) <= 1e-12 * max(abs(exact), 1.0)
+
+
+@pytest.mark.xfail(strict=True, reason="a double holds p to an ulp near p = 1, so ln p there is not relative to 1e-12")
+def test_log_session_error_is_not_relative_in_ln_p_near_p_one():
+    # found by the property above with a purely relative bound: ln p = -1.617e-16, and the
+    # recurrence's sum of the coefficients is off by an ulp of 1, so ln p is off by 106 %
+    dist, spec = PacketCountDistribution((0.9900990099009901, 0.009900990099009901)), SessionSpec(8, 8)
+    exact = rational_log(rational_session_error(dist.probs, spec))
+    assert abs(log_session_error(dist, spec) - exact) <= 1e-12 * abs(exact)
+
+
+@PROPERTY
+@given(laws(), specs())
+def test_session_error_is_nonincreasing_in_w_s(dist, spec):
+    # one more slot can only add packets; within twice the accuracy held above
+    longer = log_session_error(dist, SessionSpec(spec.w, spec.w_s + 1))
+    assert longer <= log_session_error(dist, spec) + 2e-12 * max(abs(longer), 1.0)
+
+
+@PROPERTY
+@given(laws(), specs())
+def test_session_error_is_nondecreasing_in_w(dist, spec):
+    if spec.w > 1:
+        fewer = log_session_error(dist, SessionSpec(spec.w - 1, spec.w_s))
+        assert fewer <= log_session_error(dist, spec) + 2e-12 * max(abs(fewer), 1.0)
+
+
+# Configurations whose deeper levels are drawn in both passes: at these budgets
+# the dense levels leave sessions short at every length and at only the shorter ones.
+ENGINE_CASES = [
+    (
+        SystemConfig(gamma=4, omega=10, k=8, w=50),
+        [PolicyKind.oma(), PolicyKind.sdo(), PolicyKind.fo()],
+        list(range(50, 71, 2)),
+    ),
+    (
+        SystemConfig(gamma=0.5, omega=1.5, k=6, w=50),
+        [PolicyKind.oma()] + [PolicyKind.symmetric(depth) for depth in range(1, 5)],
+        [50, 55, 57],
+    ),
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=4)
+@given(
+    case=st.sampled_from(ENGINE_CASES),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(400, 1_500),
+    batch_size=st.integers(50, 300),
+)
+def test_engine_curves_fall_along_w_s_and_match_across_workers(case, seed, trials, batch_size):
+    cfg, policies, lengths = case
+    curves = estimate_session_error_curves(policies, cfg, lengths, trials, seed, 1, batch_size)
+    for i in range(len(policies)):
+        errors = [curves[w_s][i].errors for w_s in lengths]
+        assert all(a >= b for a, b in zip(errors, errors[1:])), (policies[i], errors)
+    assert estimate_session_error_curves(policies, cfg, lengths, trials, seed, 2, batch_size) == curves

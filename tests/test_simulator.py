@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smddc import (
     PolicyKind,
@@ -457,12 +459,15 @@ def test_deeper_levels_only_for_sessions_short_at_some_length():
     ],
     ids=["cross", "own"],
 )
-def test_members_nest_session_by_session(cfg, policies):
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=29)
+def test_members_nest_session_by_session(cfg, policies, seed):
     # one-session batches show each session's outcome at every length: a member's counts
     # are at least every shallower member's, slot by slot (FO >= SDO >= OMA, sym L' >= sym L),
     # so it fails only where they all fail; OMA, SDO and sym <= 2 draw nothing deeper and
-    # fail exactly where their own draws do
-    lengths, seed = [50, 55, 57], 29
+    # fail exactly where their own draws do.  Both families put sessions in both passes.
+    lengths = [50, 55, 57]
     order = sorted(range(len(policies)), key=lambda i: policies[i].max_packets(cfg.k))
     apart = False
     for b in range(200):
@@ -492,6 +497,36 @@ def test_curves_reject_no_policy():
         estimate_session_error_curves([], CFG, (55, 60), trials=100)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_undecided_matches_a_per_session_loop(seed):
+    # each pass is the ascending flat indices of its slots, the passes are
+    # disjoint, and each is the flatnonzero of the slot mask a per-session
+    # loop gives: the first covers every slot of the sessions short of w at
+    # the longest length, the second the slots [0, l) of the others, l the
+    # longest length at which each is short
+    rng = np.random.default_rng(seed)
+    n, w = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+    lengths = sorted(rng.choice(np.arange(w, w + 20), int(rng.integers(1, 5)), replace=False).tolist())
+    cdf = np.cumsum(rng.dirichlet(np.ones(3), n), axis=1)  # a law of its own for each session
+    u = rng.random((lengths[-1], n))
+    dense = (u > cdf[:, 0]).astype(np.uint8) + (u > cdf[:, 1])
+    masks = [np.zeros(dense.shape, bool), np.zeros(dense.shape, bool)]
+    for s in range(n):
+        short = [w_s for w_s in lengths if int(dense[:w_s, s].sum()) < w]
+        if short == lengths:
+            masks[0][:, s] = True
+        elif short:
+            masks[1][: short[-1], s] = True
+    expected = [np.flatnonzero(mask) for mask in masks if mask.any()]
+    passes = simulator._undecided(dense, lengths, w)
+    assert len(passes) == len(expected)
+    for slots, want in zip(passes, expected):
+        assert np.array_equal(slots, want)
+        assert (np.diff(slots) > 0).all()
+    if len(passes) == 2:
+        assert not np.intersect1d(*passes).size
+
+
 @pytest.mark.parametrize(
     "policy,cfg,lengths,errors",
     [
@@ -511,9 +546,9 @@ def test_second_pass_draw_order_is_pinned(policy, cfg, lengths, errors, monkeypa
     passes, undecided = [], simulator._undecided
 
     def spied(dense, lengths, w):
-        masks = undecided(dense, lengths, w)
-        passes.append([bool(mask.any()) for mask in masks])
-        return masks
+        slots = undecided(dense, lengths, w)
+        passes.append([len(p) > 0 for p in slots])
+        return slots
 
     monkeypatch.setattr(simulator, "_undecided", spied)
     curves = estimate_session_error_curves([policy], cfg, lengths, trials=5_000, seed=3)
