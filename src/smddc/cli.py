@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", default="oma", help="oma|sym|sdo|fo (sweep accepts a comma-separated list)")
         p.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo sessions")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers")
+        p.add_argument("--workers", type=int, default=1, help="worker threads, each taking the next batch")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write data to FILE instead of stdout")
     sweep = sub.choices["sweep"]

@@ -25,19 +25,23 @@ in two passes, each the ascending flat indices of its slots (see
 _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the dense
 levels alone, so the screen leaves their bits as they were.
 
+Several workers are threads of one process, and each takes the next
+batch from one shared list as soon as it is free.  numpy's draws and
+large ufunc loops release the GIL; a batch's Python-level work, about
+80 us, holds it (a 1,000-session SDO+FO batch at K = 8 takes 1.1 ms).
 A run of batches (one per worker, or the serial path) draws its dense
-levels into one set of buffers, sized for its first and largest batch; a
-smaller last batch takes their contiguous prefix.  So later batches reuse
-memory the run has already touched, where a new array per batch let the C
-heap be trimmed and faulted back in on every batch.  The buffers go with
-the run.  Every kernel returns a new array, and the survivors of deeper
-levels (FO, symmetric L >= 3) are compacted into new arrays; only the cap
-of a family's counts works in place.  At W_S = 55 a 1,000-session batch
-keeps a level in 0.44 MB.
+levels into one set of buffers, sized for its first batch: batches are
+taken in order and only the last can be smaller, and it takes their
+contiguous prefix.  So later batches reuse memory the run has already
+touched.  The buffers go with the run.  Every kernel returns a new
+array, and the survivors of deeper levels (FO, symmetric L >= 3) are
+compacted into new arrays; only the cap of a family's counts works in
+place.  At W_S = 55 a 1,000-session batch keeps a level in 0.44 MB.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor  # unused: bench/spans.py replaces it, and raises if it is gone
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,7 +194,7 @@ def _families(policies, k: int):
 
 
 def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
-    """Session errors, shape (len(lengths), len(policies)), summed over the batches (b, n) of `jobs`.
+    """Session errors, shape (len(lengths), len(policies)), summed over the batches (b, n) it takes from `jobs`.
 
     Each batch draws once per nested family, for the longest session and
     screened at `lengths`; the members, deepest first, cap the driver's
@@ -245,9 +249,9 @@ def estimate_session_error_curves(
     call with that policy alone at that length and the same seed: the
     screen's first pass is all that such a call draws.  Deterministic given
     (seed, trials, config, w_s_values, batch_size) for any number of
-    workers: batches map to fixed substreams, each worker runs one
-    contiguous run of them, and the merge is a plain sum.  Every policy and
-    every length is checked before any batch runs.
+    workers: batches map to fixed substreams, each worker thread takes the
+    next batch as soon as it is free, and the merge is a plain sum.  Every
+    policy and every length is checked before any batch runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -262,12 +266,17 @@ def estimate_session_error_curves(
     for policy in policies:
         policy.check_users(config.k)
     jobs = list(_batches(trials, batch_size))
-    if workers > 1 and len(jobs) > 1:
-        size = -(-len(jobs) // workers)  # one contiguous run of batches per worker
-        runs = [jobs[i : i + size] for i in range(0, len(jobs), size)]
-        with ProcessPoolExecutor(max_workers=len(runs)) as pool:  # a fork pool starts all its workers at once
-            futures = [pool.submit(_run_batches, policies, config, lengths, seed, run) for run in runs]
-            errors = sum(f.result() for f in futures)
+    runs = min(workers, len(jobs))
+    if runs > 1:
+        shared = iter(jobs)  # each run takes the next batch as soon as it is free
+        with ThreadPoolExecutor(max_workers=runs) as pool:
+            futures = [pool.submit(_run_batches, policies, config, lengths, seed, shared) for _ in range(runs)]
+            try:
+                wait(futures, return_when=FIRST_EXCEPTION)
+            finally:  # on an error or Ctrl-C, every run stops after its current batch, before the pool joins
+                for _ in shared:
+                    pass
+        errors = sum(f.result() for f in futures)
     else:
         errors = _run_batches(policies, config, lengths, seed, jobs)
 

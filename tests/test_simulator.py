@@ -1,5 +1,8 @@
 import inspect
+import itertools
 import math
+import os
+import sys
 import tracemalloc
 from collections import Counter
 from concurrent.futures import Future
@@ -209,7 +212,7 @@ def test_cross_policies_need_two_users(policy, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
     cfg = SystemConfig(gamma=4, omega=20, k=1)
     message = f"{policy.variant} needs k >= 2"
     with pytest.raises(ValueError, match=message):
@@ -221,7 +224,7 @@ def test_cross_policies_need_two_users(policy, monkeypatch):
 
 
 def test_pool_has_no_more_workers_than_runs(monkeypatch):
-    # a fork pool starts all max_workers processes at its first submit: 64 for 2 batches
+    # the engine submits one run per worker: 64 threads for 2 batches
     sizes = []
 
     class InProcessPool:
@@ -239,19 +242,67 @@ def test_pool_has_no_more_workers_than_runs(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", InProcessPool)
     kw = dict(trials=2_000, seed=4, batch_size=1_000)
     pooled = estimate_session_error(PolicyKind.sdo(), CFG, workers=64, **kw)
     assert len(sizes) == 1 and 1 <= sizes[0] <= 2
     assert pooled == estimate_session_error(PolicyKind.sdo(), CFG, **kw)
 
 
+def test_workers_run_in_the_callers_process(monkeypatch):
+    pids, run = [], simulator._run_batches
+
+    def spied(*args):
+        pids.append(os.getpid())
+        return run(*args)
+
+    monkeypatch.setattr(simulator, "_run_batches", spied)
+    estimate_session_error(PolicyKind.sdo(), CFG, trials=4_000, workers=2)
+    assert pids == [os.getpid()] * 2
+
+
+def test_threads_take_every_batch_once(monkeypatch):
+    # more workers than cores and a short switch interval: each batch is drawn by one run, once
+    taken, stream = [], simulator.RngStream
+
+    def spied(seed, b):
+        taken.append(b)
+        return stream(seed, b)
+
+    monkeypatch.setattr(simulator, "RngStream", spied)
+    kw = dict(trials=3_001, seed=5, batch_size=10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = estimate_session_error(PolicyKind.fo(), CFG, workers=8, **kw)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == list(range(301))
+    assert threaded == estimate_session_error(PolicyKind.fo(), CFG, **kw)
+
+
+def test_an_error_in_a_run_stops_every_run(monkeypatch):
+    # 20,000 one-session batches on 2 workers; the 100th batch drawn raises
+    drawn, slot_counts = itertools.count(1), simulator._slot_counts
+
+    def spied(*args):
+        if next(drawn) == 100:
+            raise RuntimeError("batch failed")
+        return slot_counts(*args)
+
+    monkeypatch.setattr(simulator, "_slot_counts", spied)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        estimate_session_error(PolicyKind.oma(), CFG, trials=20_000, workers=2, batch_size=1)
+    assert next(drawn) < 10_000
+
+
 def _assert_joint_matches_separate(policies, cfg, seed):
-    # 45,001 sessions: four full batches and a one-session tail
+    # 45,001 sessions: four full batches and a 5,001-session tail, so with 5 workers
+    # a run can start on the tail, and its buffers are sized for it
     kw = dict(trials=45_001, seed=seed, batch_size=10_000)
     separate = [estimate_session_error(p, cfg, **kw) for p in policies]
     assert len(set(s.errors for s in separate)) > 1  # the members are told apart
-    for workers in (1, 2):
+    for workers in (1, 2, 5):
         assert estimate_session_error_curves(policies, cfg, (cfg.w_s,), workers=workers, **kw)[cfg.w_s] == separate
 
 
@@ -556,17 +607,15 @@ def test_second_pass_draw_order_is_pinned(policy, cfg, lengths, errors, monkeypa
     assert [curves[w_s][0].errors for w_s in lengths] == errors
 
 
-def test_engine_calls_no_public_analytic_function(monkeypatch, tmp_path):
+def test_engine_calls_no_public_analytic_function(monkeypatch):
     # bench/spans.py counts each call of a public smddc.analytic function as analytic
-    # work, and the Monte Carlo workloads expect none; the calls are logged to a file,
-    # so those made in forked workers count too
-    log = tmp_path / "calls"
-    log.touch()
+    # work, and the Monte Carlo workloads expect none; the workers are threads, so the
+    # calls they make land in the same list
+    log = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
-            with open(log, "a") as f:
-                f.write(name + "\n")
+            log.append(name)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -577,4 +626,4 @@ def test_engine_calls_no_public_analytic_function(monkeypatch, tmp_path):
     for policy in ALL_POLICIES:
         estimate_session_error(policy, CFG, trials=2_000)
     estimate_session_error_curves(ALL_POLICIES, CFG, (50, 55), trials=2_000, workers=2)
-    assert Counter(log.read_text().split()) == {}
+    assert Counter(log) == {}
