@@ -185,8 +185,6 @@ _SWEEP_RESULT_KEYS = (
 
 def cmd_sweep(config: SystemConfig, policies, args) -> int:
     """One row per value per policy; the rows of one scenario (the point config but w_s) share one draw."""
-    if args.workers < 1:  # before any point's analytic record is computed
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
     values = _parse_values(args.values, as_int=args.axis in ("w_s", "k", "depth"))
     fields = {k: v for k, v in _config_fields(config, args).items() if k not in ("policy", "depth")}
     rows, laws = [], {}
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", default="oma", help="oma|sym|sdo|fo (sweep accepts a comma-separated list)")
         p.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo sessions")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="worker threads, each taking the next batch")
+        p.add_argument("--workers", type=int, default=1, help="runs: the caller and N-1 threads")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write data to FILE instead of stdout")
     sweep = sub.choices["sweep"]
@@ -288,6 +286,8 @@ def main(argv=None) -> int:
             raise ValueError(f"trials must be at least 1, got {args.trials}")
         if args.seed < 0:
             raise ValueError(f"seed must be non-negative, got {args.seed}")
+        if args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
         return handler(config, policies, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

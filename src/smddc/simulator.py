@@ -25,22 +25,21 @@ in two passes, each the ascending flat indices of its slots (see
 _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the dense
 levels alone, so the screen leaves their bits as they were.
 
-Several workers are threads of one process, and each takes the next
-batch from one shared list as soon as it is free.  numpy's draws and
-large ufunc loops release the GIL; a batch's Python-level work, about
-80 us, holds it (a 1,000-session SDO+FO batch at K = 8 takes 1.1 ms).
-A run of batches (one per worker, or the serial path) draws its dense
-levels into one set of buffers, sized for its first batch: batches are
-taken in order and only the last can be smaller, and it takes their
-contiguous prefix.  So later batches reuse memory the run has already
-touched.  The buffers go with the run.  Every kernel returns a new
-array, and the survivors of deeper levels (FO, symmetric L >= 3) are
-compacted into new arrays; only the cap of a family's counts works in
-place.  At W_S = 55 a 1,000-session batch keeps a level in 0.44 MB.
+The caller runs batches beside workers - 1 threads of its process, and
+each run takes the next batch from one shared list as soon as it is free.
+numpy's draws and large ufunc loops release the GIL; a batch's
+Python-level work, about 80 us, holds it (a 1,000-session SDO+FO batch at
+K = 8 takes 1.1 ms).  Each run draws its dense levels into its own
+buffers, sized for its first batch: batches are taken in order and only
+the last can be smaller, and it takes their contiguous prefix.  So later
+batches reuse memory the run has already touched.  Every kernel returns
+a new array, and the survivors of deeper levels (FO, symmetric L >= 3)
+are compacted into new arrays; only the cap of a family's counts works
+in place.  At W_S = 55 a 1,000-session batch keeps a level in 0.44 MB.
 """
 
 import math
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import ProcessPoolExecutor  # unused: bench/spans.py replaces it, and raises if it is gone
 from dataclasses import dataclass
 
@@ -200,18 +199,24 @@ def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
     screened at `lengths`; the members, deepest first, cap the driver's
     counts in place, and each of the ascending `lengths` adds its slots
     since the previous one to a running total.  The batches draw their
-    dense levels into one set of buffers, dropped when the run ends.
+    dense levels into one set of buffers, dropped when the run ends.  An
+    error or Ctrl-C empties `jobs`, so the runs sharing it stop after a batch.
     """
     families, buffers = _families(policies, config.k), {}
     errors = np.zeros((len(lengths), len(policies)), dtype=np.int64)
-    for b, n_sessions in jobs:
-        for driver, members in families:
-            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths, buffers)
-            for i in members:
-                cap = policies[i].max_packets(config.k)
-                if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
-                    np.minimum(counts, cap, out=counts)
-                errors[:, i] += [np.count_nonzero(short) for short in _short_of(config.w, counts, lengths, cap)]
+    try:
+        for b, n_sessions in jobs:
+            for driver, members in families:
+                counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths, buffers)
+                for i in members:
+                    cap = policies[i].max_packets(config.k)
+                    if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
+                        np.minimum(counts, cap, out=counts)
+                    errors[:, i] += [np.count_nonzero(short) for short in _short_of(config.w, counts, lengths, cap)]
+    except BaseException:
+        for _ in jobs:
+            pass
+        raise
     return errors
 
 
@@ -249,8 +254,8 @@ def estimate_session_error_curves(
     call with that policy alone at that length and the same seed: the
     screen's first pass is all that such a call draws.  Deterministic given
     (seed, trials, config, w_s_values, batch_size) for any number of
-    workers: batches map to fixed substreams, each worker thread takes the
-    next batch as soon as it is free, and the merge is a plain sum.  Every
+    workers: batches map to fixed substreams, each run (the caller's or a
+    thread's) takes the next batch when free, and the merge is a sum.  Every
     policy and every length is checked before any batch runs.
     """
     if trials < 1:
@@ -266,19 +271,11 @@ def estimate_session_error_curves(
     for policy in policies:
         policy.check_users(config.k)
     jobs = list(_batches(trials, batch_size))
-    runs = min(workers, len(jobs))
-    if runs > 1:
-        shared = iter(jobs)  # each run takes the next batch as soon as it is free
-        with ThreadPoolExecutor(max_workers=runs) as pool:
-            futures = [pool.submit(_run_batches, policies, config, lengths, seed, shared) for _ in range(runs)]
-            try:
-                wait(futures, return_when=FIRST_EXCEPTION)
-            finally:  # on an error or Ctrl-C, every run stops after its current batch, before the pool joins
-                for _ in shared:
-                    pass
-        errors = sum(f.result() for f in futures)
-    else:
-        errors = _run_batches(policies, config, lengths, seed, jobs)
+    threads, shared = min(workers, len(jobs)) - 1, iter(jobs)  # each run takes the next batch as soon as it is free
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:  # a thread starts only on a submit
+        futures = [pool.submit(_run_batches, policies, config, lengths, seed, shared) for _ in range(threads)]
+        errors = _run_batches(policies, config, lengths, seed, shared)
+    errors += sum(f.result() for f in futures)
 
     def stats(n_errors):
         p_hat = n_errors / trials

@@ -331,6 +331,9 @@ def test_workers_below_one_is_exit_2(capsys, workers):
     assert code == 2 and out == "" and "workers must be at least 1" in err
     code, out, err = run_cli(capsys, ["sweep", *common, "--axis", "w_s", "--values", "55"])
     assert code == 2 and out == "" and "workers must be at least 1" in err
+    for command in ("analytic", "ladder"):  # they run no Monte Carlo, and check it all the same
+        code, out, err = run_cli(capsys, [command, *common])
+        assert code == 2 and out == "" and "workers must be at least 1" in err
 
 
 def test_missing_budget_is_exit_2(capsys):

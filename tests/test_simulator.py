@@ -3,9 +3,10 @@ import itertools
 import math
 import os
 import sys
+import threading
 import tracemalloc
 from collections import Counter
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -261,6 +262,36 @@ def test_workers_run_in_the_callers_process(monkeypatch):
     assert pids == [os.getpid()] * 2
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_the_caller_runs_beside_workers_minus_one_threads(monkeypatch, workers):
+    # one path for every worker count: 4 batches, and the caller takes batches itself next
+    # to min(workers, 4) - 1 runs on the pool, which starts a thread only on a submit
+    caller, before, run = threading.get_ident(), threading.active_count(), simulator._run_batches
+    idents, alive, submitted = [], [], []
+
+    def spied(*args):
+        idents.append(threading.get_ident())
+        alive.append(threading.active_count())
+        return run(*args)
+
+    class CountedPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args):
+            submitted.append(fn)
+            return super().submit(fn, *args)
+
+    kw = dict(trials=4_000, seed=6, batch_size=1_000)
+    serial = estimate_session_error(PolicyKind.sdo(), CFG, **kw)
+    monkeypatch.setattr(simulator, "_run_batches", spied)
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", CountedPool)
+    assert estimate_session_error(PolicyKind.sdo(), CFG, workers=workers, **kw) == serial
+    runs = min(workers, 4)
+    assert len(submitted) == runs - 1
+    assert len(idents) == runs and idents.count(caller) == 1
+    assert max(alive) <= before + runs - 1
+    if workers == 1:
+        assert submitted == [] and alive == [before]
+
+
 def test_threads_take_every_batch_once(monkeypatch):
     # more workers than cores and a short switch interval: each batch is drawn by one run, once
     taken, stream = [], simulator.RngStream
@@ -287,6 +318,25 @@ def test_an_error_in_a_run_stops_every_run(monkeypatch):
 
     def spied(*args):
         if next(drawn) == 100:
+            raise RuntimeError("batch failed")
+        return slot_counts(*args)
+
+    monkeypatch.setattr(simulator, "_slot_counts", spied)
+    with pytest.raises(RuntimeError, match="batch failed"):
+        estimate_session_error(PolicyKind.oma(), CFG, trials=20_000, workers=2, batch_size=1)
+    assert next(drawn) < 10_000
+
+
+@pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "pool-thread"])
+def test_an_error_in_any_thread_stops_every_run(monkeypatch, on_caller):
+    # 20,000 one-session batches on 2 workers; the 100th batch that the caller's run (or
+    # the pool thread's run) draws raises, and the other run stops after its current batch
+    caller, drawn, slot_counts = threading.get_ident(), itertools.count(1), simulator._slot_counts
+    drawn_here = itertools.count(1)
+
+    def spied(*args):
+        next(drawn)
+        if (threading.get_ident() == caller) == on_caller and next(drawn_here) == 100:
             raise RuntimeError("batch failed")
         return slot_counts(*args)
 
