@@ -77,12 +77,15 @@ def _config_fields(config: SystemConfig, args) -> dict:
     return {**asdict(config), "policy": args.policy, "trials": args.trials, "seed": args.seed}
 
 
-def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, laws: dict) -> dict:
+def _analytic_record(
+    policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int, laws: dict
+) -> dict:
     """All analytic quantities for one configuration.
 
     Closed forms cover OMA, symmetric depth <= 2 (depth 1 is OMA), and SDO;
     for symmetric depth > 2 and FO the packet-count law is estimated by
-    simulation from (trials, seed) and fed to the generic Chernoff
+    simulation from (trials, seed) on `workers` runs, the same law for
+    any number of them, and fed to the generic Chernoff
     minimizer (no exact value is reported then, since the law itself is
     an estimate).  The law does not depend on w_s, so `laws` keeps each
     estimate by (policy, config with w_s = w) for the caller's later
@@ -99,7 +102,7 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     if not closed_form:
         key = (policy, replace(config, w_s=config.w))
         if key not in laws:
-            laws[key] = estimate_alphas(policy, config, trials, seed=seed)
+            laws[key] = estimate_alphas(policy, config, trials, seed=seed, workers=workers)
         dist = laws[key]
         cb = analytic.chernoff_generic(dist, spec)
     elif policy.depth == 1:
@@ -144,7 +147,7 @@ def cmd_ladder(config: SystemConfig, policies, args) -> int:
 
 
 def cmd_analytic(config: SystemConfig, policies, args) -> int:
-    record = _analytic_record(policies[0], config, args.trials, args.seed, {})
+    record = _analytic_record(policies[0], config, args.trials, args.seed, args.workers, {})
     payload = {"command": "analytic", "config": _config_fields(config, args), "record": record}
     row = dict(record)
     row["alphas"] = ";".join(repr(a) for a in record["alphas"])
@@ -200,7 +203,7 @@ def cmd_sweep(config: SystemConfig, policies, args) -> int:
             try:
                 point, point_policy = _apply_axis(config, policy, args.axis, value)
                 row["k"] = point.k
-                record = _analytic_record(point_policy, point, args.trials, args.seed, laws)
+                record = _analytic_record(point_policy, point, args.trials, args.seed, args.workers, laws)
             except (ValueError, ArithmeticError) as exc:
                 row["error"] = str(exc)
                 continue
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", default="oma", help="oma|sym|sdo|fo (sweep accepts a comma-separated list)")
         p.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo sessions")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="runs: the caller and N-1 threads")
+        p.add_argument("--workers", type=int, default=1, help="Monte Carlo runs: the caller and N-1 threads")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write data to FILE instead of stdout")
     sweep = sub.choices["sweep"]

@@ -25,8 +25,16 @@ in two passes, each the ascending flat indices of its slots (see
 _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the dense
 levels alone, so the screen leaves their bits as they were.
 
-The caller runs batches beside workers - 1 threads of its process, and
-each run takes the next batch from one shared list as soon as it is free.
+A packet-count law (estimate_alphas) is estimated over independent
+slots, not sessions: batch b is LAW_BATCH_SIZE slots of shape (n,) drawn
+from the substream (seed, b) with every level they afford, and its
+counts are tallied by packet count.  So its memory is bounded by the
+batch (about 1.2 MB traced for FO at K = 8), not by the trials.
+
+Both estimates run through one launcher (_launch): the caller runs
+batches beside workers - 1 threads of its process, each run takes the
+next batch from one shared list as soon as it is free, and the merge is
+an integer sum, so a result is byte-identical for any worker count.
 numpy's draws and large ufunc loops release the GIL; a batch's
 Python-level work, about 80 us, holds it (a 1,000-session SDO+FO batch at
 K = 8 takes 1.1 ms).  Each run draws its dense levels into its own
@@ -38,6 +46,7 @@ are compacted into new arrays; only the cap of a family's counts works
 in place.  At W_S = 55 a 1,000-session batch keeps a level in 0.44 MB.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import ProcessPoolExecutor  # unused: bench/spans.py replaces it, and raises if it is gone
@@ -51,7 +60,8 @@ from .channel import RngStream, draw_exponential, gain_from_neg_log_cdf
 from .config import SystemConfig
 from .policies import PolicyKind
 
-DEFAULT_BATCH_SIZE = 1_000
+DEFAULT_BATCH_SIZE = 1_000  # sessions
+LAW_BATCH_SIZE = 20_000  # slots
 
 
 @dataclass(frozen=True)
@@ -199,32 +209,56 @@ def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
     screened at `lengths`; the members, deepest first, cap the driver's
     counts in place, and each of the ascending `lengths` adds its slots
     since the previous one to a running total.  The batches draw their
-    dense levels into one set of buffers, dropped when the run ends.  An
-    error or Ctrl-C empties `jobs`, so the runs sharing it stop after a batch.
+    dense levels into one set of buffers, dropped when the run ends.
     """
     families, buffers = _families(policies, config.k), {}
     errors = np.zeros((len(lengths), len(policies)), dtype=np.int64)
-    try:
-        for b, n_sessions in jobs:
-            for driver, members in families:
-                counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths, buffers)
-                for i in members:
-                    cap = policies[i].max_packets(config.k)
-                    if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
-                        np.minimum(counts, cap, out=counts)
-                    errors[:, i] += [np.count_nonzero(short) for short in _short_of(config.w, counts, lengths, cap)]
-    except BaseException:
-        for _ in jobs:
-            pass
-        raise
+    for b, n_sessions in jobs:
+        for driver, members in families:
+            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths, buffers)
+            for i in members:
+                cap = policies[i].max_packets(config.k)
+                if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
+                    np.minimum(counts, cap, out=counts)
+                errors[:, i] += [np.count_nonzero(short) for short in _short_of(config.w, counts, lengths, cap)]
     return errors
 
 
-def _batches(trials: int, batch_size: int):
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
-    for b, start in enumerate(range(0, trials, batch_size)):
-        yield b, min(batch_size, trials - start)
+def _run_law(policy: PolicyKind, config: SystemConfig, seed: int, jobs):
+    """Slot counts by packet count, 0 to the cap, over the batches (b, n slots) it takes from `jobs`."""
+    buffers, freq = {}, np.zeros(policy.max_packets(config.k) + 1, dtype=np.int64)
+    for b, n_slots in jobs:
+        counts = _slot_counts(policy, config, RngStream(seed, b), (n_slots,), buffers=buffers)
+        freq += np.bincount(counts, minlength=freq.size)
+    return freq
+
+
+def _launch(run, trials: int, workers: int, batch_size: int):
+    """The integer sum of run(jobs) over the caller's run and those of min(workers, batches) - 1 threads.
+
+    `trials` is split in order into batches (b, n), n = batch_size but for
+    a smaller last one, and each run takes the next one from the shared
+    iterator `jobs` when free.  An error or Ctrl-C in a run empties `jobs`,
+    so every other run stops after its current batch, and it is raised here.
+    """
+    for name, value in (("trials", trials), ("workers", workers), ("batch_size", batch_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    batches = [(b, min(batch_size, trials - start)) for b, start in enumerate(range(0, trials, batch_size))]
+    threads, jobs = min(workers, len(batches)) - 1, iter(batches)  # a list's iterator, safe to share across threads
+
+    def stopping():
+        try:
+            return run(jobs)
+        except BaseException:
+            for _ in jobs:
+                pass
+            raise
+
+    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:  # a thread starts only on a submit
+        futures = [pool.submit(stopping) for _ in range(threads)]
+        total = stopping()
+    return total + sum(f.result() for f in futures)
 
 
 def estimate_session_error_curves(
@@ -258,10 +292,6 @@ def estimate_session_error_curves(
     thread's) takes the next batch when free, and the merge is a sum.  Every
     policy and every length is checked before any batch runs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     policies = list(policies)
     if not policies:
         raise ValueError("policies holds no policy")
@@ -270,12 +300,7 @@ def estimate_session_error_curves(
         raise ValueError("w_s_values holds no session length")
     for policy in policies:
         policy.check_users(config.k)
-    jobs = list(_batches(trials, batch_size))
-    threads, shared = min(workers, len(jobs)) - 1, iter(jobs)  # each run takes the next batch as soon as it is free
-    with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:  # a thread starts only on a submit
-        futures = [pool.submit(_run_batches, policies, config, lengths, seed, shared) for _ in range(threads)]
-        errors = _run_batches(policies, config, lengths, seed, shared)
-    errors += sum(f.result() for f in futures)
+    errors = _launch(functools.partial(_run_batches, policies, config, lengths, seed), trials, workers, batch_size)
 
     def stats(n_errors):
         p_hat = n_errors / trials
@@ -303,18 +328,21 @@ def estimate_alphas(
     config: SystemConfig,
     trials: int,
     seed: int = 0,
-    batch_size: int = 1_000_000,
+    workers: int = 1,
+    batch_size: int = LAW_BATCH_SIZE,
 ) -> PacketCountDistribution:
     """Empirical per-slot packet-count distribution over `trials` independent slots.
 
     Feeds the generic Chernoff bound when no closed-form law is available
-    (symmetric depth > 2, FO-NOMA).
+    (symmetric depth > 2, FO-NOMA).  The slots run in batches of
+    `batch_size` on the runs of estimate_session_error_curves: batch b
+    draws its slots from the substream (seed, b), each run draws the dense
+    levels into its own buffers and bincounts the counts, and the merge
+    is a sum.  So memory is bounded by the batch, not by `trials`, and
+    the law is deterministic given (seed, trials, config, batch_size) for
+    any number of workers.  The policy, trials, workers and batch_size
+    are checked before any batch runs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    max_n = policy.max_packets(config.k)
-    freq = np.zeros(max_n + 1, dtype=np.int64)
-    for b, n in _batches(trials, batch_size):
-        counts = _slot_counts(policy, config, RngStream(seed, b), (n,))
-        freq += np.bincount(counts, minlength=max_n + 1)
+    policy.check_users(config.k)
+    freq = _launch(functools.partial(_run_law, policy, config, seed), trials, workers, batch_size)
     return PacketCountDistribution(tuple((freq / trials).tolist()))

@@ -363,12 +363,19 @@ def test_criterion_12_determinism(capsys):
         "sweep", "--gamma", "4", "--omega", "15", "--k", "3", "--policy", "sdo,oma",
         "--axis", "w_s", "--values", "50,55", "--trials", "100000", "--seed", "9",
     ]
+    # the laws of FO and sym 3 over 50,001 slots: two full batches and a smaller last one
+    scenario = ["--gamma", "4", "--omega", "20", "--k", "3", "--depth", "3", "--trials", "50001", "--seed", "9"]
+    laws = [
+        ["analytic", "--policy", "fo", *scenario],
+        ["analytic", "--policy", "sym", *scenario],
+        ["sweep", "--policy", "fo,sym", "--axis", "w_s", "--values", "50,55", *scenario],
+    ]
     ok = True
-    for argv in (sim, sweep):
+    for argv in (sim, sweep, *laws):
         outputs = []
         for workers in ("1", "8"):
             code = cli_main(argv + ["--workers", workers])
             ok = ok and code == 0
             outputs.append(capsys.readouterr().out)
         ok = ok and outputs[0] == outputs[1] and len(outputs[0]) > 0
-    report(12, ok, "simulate/sweep byte-identical with 1 and 8 workers", time.perf_counter() - t0, 120.0)
+    report(12, ok, "simulate/analytic/sweep byte-identical with 1 and 8 workers", time.perf_counter() - t0, 120.0)

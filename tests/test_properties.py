@@ -126,3 +126,100 @@ def test_engine_curves_fall_along_w_s_and_match_across_workers(case, seed, trial
         errors = [curves[w_s][i].errors for w_s in lengths]
         assert all(a >= b for a, b in zip(errors, errors[1:])), (policies[i], errors)
     assert estimate_session_error_curves(policies, cfg, lengths, trials, seed, 2, batch_size) == curves
+
+
+# The validators: NaN, a float in an integer field, or a value out of range raises; valid
+# fields are kept, their integers as int.  inf is a valid gamma, omega or n0 (an unlimited
+# budget, or a level that no gain affords), so only NaN and values <= 0 are out of range there.
+VALIDATORS = settings(derandomize=True, deadline=None, max_examples=100)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True)  # up to inf
+NOT_POSITIVE = st.one_of(st.just(math.nan), st.floats(max_value=0.0))
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)  # even 3.0 is no integer
+
+
+@st.composite
+def configs(draw):
+    w = draw(st.integers(1, 10**6))
+    return dict(
+        gamma=draw(POSITIVE), omega=draw(POSITIVE), n0=draw(POSITIVE), k=draw(st.integers(1, 10**6)),
+        depth=draw(st.integers(1, 10**6)), w=w, w_s=draw(st.integers(w, 2 * 10**6)),
+    )  # fmt: skip
+
+
+@VALIDATORS
+@given(configs())
+def test_config_keeps_valid_fields(fields):
+    cfg = SystemConfig(**fields)
+    assert [getattr(cfg, name) for name in fields] == list(fields.values())
+
+
+@VALIDATORS
+@given(configs(), st.sampled_from(["gamma", "omega", "n0"]), NOT_POSITIVE)
+def test_config_rejects_nan_and_non_positive_reals(fields, name, value):
+    with pytest.raises(ValueError, match="gamma, omega and n0 must be positive"):
+        SystemConfig(**{**fields, name: value})
+
+
+@VALIDATORS
+@given(configs(), st.sampled_from(["k", "depth", "w", "w_s"]), FLOATS)
+def test_config_rejects_floats_in_integer_fields(fields, name, value):
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        SystemConfig(**{**fields, name: value})
+
+
+@VALIDATORS
+@given(configs(), st.sampled_from(["k", "depth", "w"]), st.integers(-(10**6), 0))
+def test_config_rejects_integers_below_one(fields, name, value):
+    with pytest.raises(ValueError):
+        SystemConfig(**{**fields, name: value})
+
+
+@VALIDATORS
+@given(configs(), st.integers(1, 10**6))
+def test_config_rejects_sessions_shorter_than_w(fields, gap):
+    with pytest.raises(ValueError, match="need w_s >= w >= 1"):
+        SystemConfig(**{**fields, "w_s": fields["w"] - gap})
+
+
+@VALIDATORS
+@given(st.integers(-(10**6), 10**6), st.integers(-(10**6), 2 * 10**6))
+def test_session_spec_accepts_exactly_w_s_at_least_w_at_least_one(w, w_s):
+    if 1 <= w <= w_s:
+        spec = SessionSpec(w, w_s)
+        assert (spec.w, spec.w_s) == (w, w_s)
+    else:
+        with pytest.raises(ValueError, match="need w_s >= w >= 1"):
+            SessionSpec(w, w_s)
+
+
+@VALIDATORS
+@given(st.integers(1, 10**6), st.booleans(), FLOATS)
+def test_session_spec_rejects_floats(w, on_w, value):
+    name, args = ("w", (value, w)) if on_w else ("w_s", (w, value))
+    with pytest.raises(TypeError, match=f"{name} must be an integer"):
+        SessionSpec(*args)
+
+
+@VALIDATORS
+@given(st.sampled_from(["oma", "sym", "sdo", "fo"]), st.integers(-(10**6), 10**6))
+def test_policy_kind_accepts_exactly_its_depths(variant, depth):
+    fixed = {"oma": 1, "sdo": 2, "fo": 2}.get(variant)
+    if depth >= 1 and fixed in (None, depth):
+        assert PolicyKind(variant, depth).depth == depth
+    else:
+        with pytest.raises(ValueError):
+            PolicyKind(variant, depth)
+
+
+@VALIDATORS
+@given(st.sampled_from(["oma", "sym", "sdo", "fo"]), FLOATS)
+def test_policy_kind_rejects_float_depths(variant, depth):
+    with pytest.raises(TypeError, match="depth must be an integer"):
+        PolicyKind(variant, depth)
+
+
+@VALIDATORS
+@given(st.one_of(st.text(), st.just(math.nan)).filter(lambda v: v not in ("oma", "sym", "sdo", "fo")))
+def test_policy_kind_rejects_unknown_variants(variant):
+    with pytest.raises(ValueError, match="unknown policy"):
+        PolicyKind(variant, 1)

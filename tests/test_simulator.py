@@ -163,17 +163,43 @@ def test_symmetric_depths_nest():
 
 
 def test_fo_alphas_memory_does_not_grow_with_users():
-    # no (K-1, batch) array of cross gains: the peak at K = 300 stays near K = 3's
-    def peak(k):
+    # no (K-1, batch) array of cross gains: the peak at K = 300 stays near K = 3's; and no
+    # array grows with the trials: at the default batch_size, 200k slots peak near 20k's
+    def peak(k, **kw):
         cfg = SystemConfig(gamma=4, omega=20, k=k, w=50, w_s=55)
         tracemalloc.start()
         try:
-            estimate_alphas(PolicyKind.fo(), cfg, trials=20_000, batch_size=10_000)
+            estimate_alphas(PolicyKind.fo(), cfg, **kw)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(300) <= 2 * peak(3)
+    assert peak(300, trials=20_000, batch_size=10_000) <= 2 * peak(3, trials=20_000, batch_size=10_000)
+    assert peak(8, trials=200_000) <= 2 * peak(8, trials=20_000)
+
+
+@pytest.mark.parametrize(
+    "policy,cfg",
+    [
+        (PolicyKind.fo(), SystemConfig(gamma=4, omega=20, k=8, w=50, w_s=55)),
+        (PolicyKind.symmetric(3), SystemConfig(gamma=1, omega=20, k=3, w=50, w_s=55)),
+    ],
+    ids=["fo", "sym3"],
+)
+def test_law_does_not_depend_on_worker_count(policy, cfg):
+    # 5 full batches and a 1-slot tail, so a run can start on the tail and size its buffers
+    # for it; the law is the batches' counts as if each were drawn alone into new arrays
+    kw = dict(trials=50_001, seed=14, batch_size=10_000)
+    sizes = [10_000] * 5 + [1]
+    slots = (_slot_counts(policy, cfg, RngStream(14, b), (n,)) for b, n in enumerate(sizes))
+    freq = sum(np.bincount(counts, minlength=policy.max_packets(cfg.k) + 1) for counts in slots)
+    assert freq[3] > 0  # a deeper level is drawn
+    for workers in (1, 2, 3, 8):
+        assert estimate_alphas(policy, cfg, workers=workers, **kw).probs == tuple((freq / kw["trials"]).tolist())
+    # at the default batch_size: two full batches and a smaller last one
+    serial = estimate_alphas(policy, cfg, trials=45_001, seed=15)
+    for workers in (2, 3, 8):
+        assert estimate_alphas(policy, cfg, trials=45_001, seed=15, workers=workers) == serial
 
 
 def test_invalid_trials():
@@ -202,9 +228,11 @@ def test_config_stores_numpy_integers_as_int():
 
 
 @pytest.mark.parametrize("workers", [0, -3])
-def test_invalid_workers(workers):
-    with pytest.raises(ValueError, match="workers must be at least 1"):
-        estimate_session_error(PolicyKind.oma(), CFG, trials=100, workers=workers)
+def test_invalid_workers(workers, monkeypatch):
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", None)  # checked before any pool is made
+    for estimate in (estimate_session_error, estimate_alphas):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            estimate(PolicyKind.oma(), CFG, trials=100, workers=workers)
 
 
 @pytest.mark.parametrize("policy", [PolicyKind.sdo(), PolicyKind.fo()], ids=["sdo", "fo"])
@@ -293,7 +321,8 @@ def test_the_caller_runs_beside_workers_minus_one_threads(monkeypatch, workers):
 
 
 def test_threads_take_every_batch_once(monkeypatch):
-    # more workers than cores and a short switch interval: each batch is drawn by one run, once
+    # more workers than cores and a short switch interval: each batch is drawn by one run, once,
+    # for the session estimate and for the law alike
     taken, stream = [], simulator.RngStream
 
     def spied(seed, b):
@@ -302,14 +331,16 @@ def test_threads_take_every_batch_once(monkeypatch):
 
     monkeypatch.setattr(simulator, "RngStream", spied)
     kw = dict(trials=3_001, seed=5, batch_size=10)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threaded = estimate_session_error(PolicyKind.fo(), CFG, workers=8, **kw)
-    finally:
-        sys.setswitchinterval(interval)
-    assert sorted(taken) == list(range(301))
-    assert threaded == estimate_session_error(PolicyKind.fo(), CFG, **kw)
+    for estimate in (estimate_session_error, estimate_alphas):
+        taken.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = estimate(PolicyKind.fo(), CFG, workers=8, **kw)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(taken) == list(range(301))
+        assert threaded == estimate(PolicyKind.fo(), CFG, **kw)
 
 
 def test_an_error_in_a_run_stops_every_run(monkeypatch):
@@ -327,23 +358,33 @@ def test_an_error_in_a_run_stops_every_run(monkeypatch):
     assert next(drawn) < 10_000
 
 
-@pytest.mark.parametrize("on_caller", [True, False], ids=["caller", "pool-thread"])
-def test_an_error_in_any_thread_stops_every_run(monkeypatch, on_caller):
-    # 20,000 one-session batches on 2 workers; the 100th batch that the caller's run (or
-    # the pool thread's run) draws raises, and the other run stops after its current batch
+@pytest.mark.parametrize(
+    "on_caller,estimate",
+    [
+        pytest.param(True, estimate_session_error, id="caller"),
+        pytest.param(False, estimate_session_error, id="pool-thread"),
+        pytest.param(True, estimate_alphas, id="caller-law"),
+        pytest.param(False, estimate_alphas, id="pool-thread-law"),
+    ],
+)
+def test_an_error_in_any_thread_stops_every_run(monkeypatch, on_caller, estimate):
+    # 20,000 one-session (or one-slot) batches on 2 workers; the 100th batch that the caller's
+    # run (or the pool thread's run) draws raises, and the other run stops after its current batch.
+    # The other run may take most batches before that one, so only the draws after it are counted.
     caller, drawn, slot_counts = threading.get_ident(), itertools.count(1), simulator._slot_counts
-    drawn_here = itertools.count(1)
+    drawn_here, failed_at = itertools.count(1), []
 
-    def spied(*args):
-        next(drawn)
+    def spied(*args, **kwargs):
+        n = next(drawn)
         if (threading.get_ident() == caller) == on_caller and next(drawn_here) == 100:
+            failed_at.append(n)
             raise RuntimeError("batch failed")
-        return slot_counts(*args)
+        return slot_counts(*args, **kwargs)
 
     monkeypatch.setattr(simulator, "_slot_counts", spied)
     with pytest.raises(RuntimeError, match="batch failed"):
-        estimate_session_error(PolicyKind.oma(), CFG, trials=20_000, workers=2, batch_size=1)
-    assert next(drawn) < 10_000
+        estimate(PolicyKind.oma(), CFG, trials=20_000, workers=2, batch_size=1)
+    assert next(drawn) - 1 - failed_at[0] < 1_000 < 20_000 - failed_at[0]
 
 
 def _assert_joint_matches_separate(policies, cfg, seed):
@@ -376,7 +417,8 @@ def test_joint_two_families_match_separate_calls():
 
 @pytest.mark.parametrize("batch_size", [-1, 0])
 @pytest.mark.parametrize("estimate", [estimate_session_error, estimate_alphas])
-def test_batch_size_below_one_is_rejected(estimate, batch_size):
+def test_batch_size_below_one_is_rejected(estimate, batch_size, monkeypatch):
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", None)  # checked before any pool is made
     with pytest.raises(ValueError, match=f"batch_size must be at least 1, got {batch_size}"):
         estimate(PolicyKind.sdo(), CFG, trials=100, batch_size=batch_size)
 
