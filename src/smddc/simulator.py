@@ -25,16 +25,9 @@ in two passes, each the ascending flat indices of its slots (see
 _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the dense
 levels alone, so the screen leaves their bits as they were.
 
-A packet-count law (estimate_alphas) is estimated over independent
-slots, not sessions: batch b is LAW_BATCH_SIZE slots of shape (n,) drawn
-from the substream (seed, b) with every level they afford, and its
-counts are tallied by packet count.  So its memory is bounded by the
-batch (about 1.2 MB traced for FO at K = 8), not by the trials.
-
-Both estimates run through one launcher (_launch): the caller runs
-batches beside workers - 1 threads of its process, each run takes the
-next batch from one shared list as soon as it is free, and the merge is
-an integer sum, so a result is byte-identical for any worker count.
+The caller runs batches beside workers - 1 threads of its process, and
+each run takes the next batch from one shared list as soon as it is free;
+both estimates, of sessions and of the packet-count law, start runs in _launch.
 numpy's draws and large ufunc loops release the GIL; a batch's
 Python-level work, about 80 us, holds it (a 1,000-session SDO+FO batch at
 K = 8 takes 1.1 ms).  Each run draws its dense levels into its own
@@ -61,7 +54,9 @@ from .config import SystemConfig
 from .policies import PolicyKind
 
 DEFAULT_BATCH_SIZE = 1_000  # sessions
-LAW_BATCH_SIZE = 20_000  # slots
+# Slots.  Smaller law batches cost more per slot in Python-level work;
+# larger ones raise sweep-k8's peak RSS and did not run it faster (BENCH_30.json).
+LAW_BATCH_SIZE = 20_000
 
 
 @dataclass(frozen=True)
@@ -328,20 +323,21 @@ def estimate_alphas(
     config: SystemConfig,
     trials: int,
     seed: int = 0,
+    *,
     workers: int = 1,
     batch_size: int = LAW_BATCH_SIZE,
 ) -> PacketCountDistribution:
     """Empirical per-slot packet-count distribution over `trials` independent slots.
 
     Feeds the generic Chernoff bound when no closed-form law is available
-    (symmetric depth > 2, FO-NOMA).  The slots run in batches of
-    `batch_size` on the runs of estimate_session_error_curves: batch b
-    draws its slots from the substream (seed, b), each run draws the dense
-    levels into its own buffers and bincounts the counts, and the merge
-    is a sum.  So memory is bounded by the batch, not by `trials`, and
-    the law is deterministic given (seed, trials, config, batch_size) for
-    any number of workers.  The policy, trials, workers and batch_size
-    are checked before any batch runs.
+    (symmetric depth > 2, FO-NOMA).  The slots are split into batches of
+    `batch_size` and run through _launch, as the session estimates are:
+    batch b draws its slots from the substream (seed, b), each run draws
+    the dense levels into its own buffers and bincounts the counts, and
+    the merge is a sum.  So memory is bounded by the batch, not by
+    `trials`, and the law is deterministic given (seed, trials, config,
+    batch_size) for any number of workers.  The policy, trials, workers
+    and batch_size are checked before any batch runs.
     """
     policy.check_users(config.k)
     freq = _launch(functools.partial(_run_law, policy, config, seed), trials, workers, batch_size)
