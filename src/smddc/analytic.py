@@ -165,7 +165,7 @@ def beta2_sdo(rho1: float, rho2: float, omega: float, k_users: int) -> float:
         if abs(finer - total) <= 1e-14 * finer:
             break
         total = finer
-    return min(max(math.exp(top) * finer, 0.0), 1.0)
+    return min(max(math.exp(top) * finer, 0.0), math.exp(-c))  # beta1, which the sum's 1e-14 can pass
 
 
 # --- packet-count distributions -------------------------------------------

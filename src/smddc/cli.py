@@ -19,7 +19,7 @@ from . import analytic
 from .config import SystemConfig, db_to_linear
 from .policies import PolicyKind
 from .power_ladder import build_ladder, sinr_at_level
-from .simulator import estimate_alphas, estimate_session_error, estimate_session_error_curves
+from .simulator import MAX_WORKERS, estimate_alphas, estimate_session_error, estimate_session_error_curves
 
 MAX_RANGE_POINTS = 10**6
 
@@ -77,58 +77,57 @@ def _config_fields(config: SystemConfig, args) -> dict:
     return {**asdict(config), "policy": args.policy, "trials": args.trials, "seed": args.seed}
 
 
-def _analytic_record(
-    policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int, laws: dict
-) -> dict:
-    """All analytic quantities for one configuration.
+def _packet_count_law(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int, laws: dict):
+    """(law, exact): the policy's per-slot packet-count law, in closed form iff its per-slot cap is at most 2.
 
-    Closed forms cover OMA, symmetric depth <= 2 (depth 1 is OMA), and SDO;
-    for symmetric depth > 2 and FO the packet-count law is estimated by
-    simulation from (trials, seed) on `workers` runs, the same law for
-    any number of them, and fed to the generic Chernoff
-    minimizer (no exact value is reported then, since the law itself is
-    an estimate).  The law does not depend on w_s, so `laws` keeps each
-    estimate by (policy, config with w_s = w) for the caller's later
-    points.  The exact session error comes with its log10, which stays
-    finite below the double range where exact_p_se reads 0.0; it is None
-    when the session cannot fail (Pr(V = 0) = 0).
+    Cap 1 (OMA, symmetric depth 1) is [beta1], cap 2 [beta1, beta2], by beta2_sdo for SDO and for FO at
+    K = 2, which is SDO.  Any other law is estimated by simulation from (trials, seed), the same law for
+    any number of `workers`; it does not depend on w_s, so `laws` keeps it by (policy, config with w_s = w).
     """
-    ladder = config.ladder_for(policy)
-    spec = config.session_spec()
-    b1 = analytic.beta1(ladder.levels[0], config.omega)
-    record = {"beta1": b1, **dict.fromkeys(("beta2", "exact_p_se", "log10_exact_p_se", "eta", "z_star"))}
-
-    closed_form = policy.variant != "fo" and policy.depth <= 2
-    if not closed_form:
+    cap = policy.max_packets(config.k)
+    if cap > 2:
         key = (policy, replace(config, w_s=config.w))
         if key not in laws:
             laws[key] = estimate_alphas(policy, config, trials, seed=seed, workers=workers)
-        dist = laws[key]
-        cb = analytic.chernoff_generic(dist, spec)
-    elif policy.depth == 1:
-        dist = analytic.alphas_from_betas([b1])
+        return laws[key], False
+    rho, omega = config.ladder_for(policy).levels, config.omega
+    betas = [analytic.beta1(rho[0], omega)]
+    if cap == 2 and policy.variant == "sym":
+        betas.append(analytic.beta2_symmetric(rho[0], rho[1], omega))
+    elif cap == 2:
+        betas.append(analytic.beta2_sdo(rho[0], rho[1], omega, config.k))
+    return analytic.alphas_from_betas(betas), True
+
+
+def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int, laws: dict) -> dict:
+    """All analytic quantities for one configuration, laid out from the law of _packet_count_law.
+
+    An estimated law gets the generic Chernoff minimizer; an exact one its closed-form bound, the NOMA
+    factor at cap 2, and the exact session error with its log10, which stays finite below the double
+    range where exact_p_se reads 0.0 and is None when the session cannot fail (Pr(V = 0) = 0).
+    """
+    spec = config.session_spec()
+    b1 = analytic.beta1(config.ladder_for(policy).levels[0], config.omega)
+    record = {"beta1": b1, **dict.fromkeys(("beta2", "exact_p_se", "log10_exact_p_se", "eta", "z_star"))}
+    law, exact = _packet_count_law(policy, config, trials, seed, workers, laws)
+    if not exact:
+        cb = analytic.chernoff_generic(law, spec)
+    elif law.max_packets == 1:
         cb = analytic.chernoff_oma(b1, spec)
     else:
-        if policy.variant == "sdo":
-            b2 = analytic.beta2_sdo(ladder.levels[0], ladder.levels[1], config.omega, config.k)
-        else:
-            b2 = analytic.beta2_symmetric(ladder.levels[0], ladder.levels[1], config.omega)
-        record["beta2"] = b2
-        dist = analytic.alphas_from_betas([b1, b2])
-        cb = analytic.chernoff_noma2(dist, spec)
-        nf = analytic.noma_factor(dist.probs[0], dist.probs[2])
-        record["eta"] = nf.eta
-        record["z_star"] = nf.z_star
-
-    record["alphas"] = list(dist.probs)
-    record["mean_packets"] = analytic.mean_packets(dist)
+        record["beta2"] = law.probs[2]
+        cb = analytic.chernoff_noma2(law, spec)
+        nf = analytic.noma_factor(law.probs[0], law.probs[2])
+        record["eta"], record["z_star"] = nf.eta, nf.z_star
+    record["alphas"] = list(law.probs)
+    record["mean_packets"] = analytic.mean_packets(law)
     record["chernoff_bound"] = cb.bound
     record["chernoff_feasible"] = cb.feasible
     record["lambda_star"] = cb.lambda_star if cb.feasible and math.isfinite(cb.lambda_star) else None
-    if closed_form:
-        record["exact_p_se"] = analytic.exact_session_error(dist, spec)
+    if exact:
+        record["exact_p_se"] = analytic.exact_session_error(law, spec)
         # a second pass, ~20-25 us at W = 50 and L <= 2, so that bench/spans.py still times exact_session_error here
-        log_p = analytic.log_session_error(dist, spec)
+        log_p = analytic.log_session_error(law, spec)
         record["log10_exact_p_se"] = log_p / math.log(10.0) if log_p > -math.inf else None
     return record
 
@@ -149,9 +148,7 @@ def cmd_ladder(config: SystemConfig, policies, args) -> int:
 def cmd_analytic(config: SystemConfig, policies, args) -> int:
     record = _analytic_record(policies[0], config, args.trials, args.seed, args.workers, {})
     payload = {"command": "analytic", "config": _config_fields(config, args), "record": record}
-    row = dict(record)
-    row["alphas"] = ";".join(repr(a) for a in record["alphas"])
-    _emit(args, payload, [row])
+    _emit(args, payload, [{**record, "alphas": ";".join(repr(a) for a in record["alphas"])}])
     return 0
 
 
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--policy", default="oma", help="oma|sym|sdo|fo (sweep accepts a comma-separated list)")
         p.add_argument("--trials", type=int, default=1_000_000, help="Monte Carlo sessions")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--workers", type=int, default=1, help="Monte Carlo runs: the caller and N-1 threads")
+        p.add_argument("--workers", type=int, default=1, help=f"N <= {MAX_WORKERS} Monte Carlo runs: caller + N-1 threads")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="write data to FILE instead of stdout")
     sweep = sub.choices["sweep"]
@@ -289,8 +286,8 @@ def main(argv=None) -> int:
             raise ValueError(f"trials must be at least 1, got {args.trials}")
         if args.seed < 0:
             raise ValueError(f"seed must be non-negative, got {args.seed}")
-        if args.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {args.workers}")
+        if not 1 <= args.workers <= MAX_WORKERS:  # each worker past the caller is a thread
+            raise ValueError(f"workers must be at least 1 and at most {MAX_WORKERS}, got {args.workers}")
         return handler(config, policies, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

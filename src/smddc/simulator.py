@@ -57,6 +57,7 @@ DEFAULT_BATCH_SIZE = 1_000  # sessions
 # Slots.  Smaller law batches cost more per slot in Python-level work;
 # larger ones raise sweep-k8's peak RSS and did not run it faster (BENCH_30.json).
 LAW_BATCH_SIZE = 20_000
+MAX_WORKERS = 64  # runs per estimate: each but the caller's is a thread, and each keeps its own buffers
 
 
 @dataclass(frozen=True)
@@ -239,6 +240,8 @@ def _launch(run, trials: int, workers: int, batch_size: int):
     for name, value in (("trials", trials), ("workers", workers), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     batches = [(b, min(batch_size, trials - start)) for b, start in enumerate(range(0, trials, batch_size))]
     threads, jobs = min(workers, len(batches)) - 1, iter(batches)  # a list's iterator, safe to share across threads
 
@@ -329,8 +332,8 @@ def estimate_alphas(
 ) -> PacketCountDistribution:
     """Empirical per-slot packet-count distribution over `trials` independent slots.
 
-    Feeds the generic Chernoff bound when no closed-form law is available
-    (symmetric depth > 2, FO-NOMA).  The slots are split into batches of
+    Feeds the generic Chernoff bound where cli._packet_count_law's rule
+    gives no closed-form law.  The slots are split into batches of
     `batch_size` and run through _launch, as the session estimates are:
     batch b draws its slots from the substream (seed, b), each run draws
     the dense levels into its own buffers and bincounts the counts, and

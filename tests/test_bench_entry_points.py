@@ -94,3 +94,34 @@ def test_each_policy_reaches_its_named_kernel(policy, kernel, monkeypatch):
     config = SystemConfig(gamma=4, omega=20, k=3)
     smddc.simulator.estimate_session_error(policy, config, trials=2_000, seed=1, batch_size=1_000)
     assert set(calls) == {kernel} and calls[kernel] == 2  # one call per batch
+
+
+@pytest.mark.parametrize(
+    "flags,timed",
+    [
+        (["--policy", "fo", "--k", "3"], "estimate_alphas"),
+        (["--policy", "sym", "--depth", "3", "--k", "3"], "estimate_alphas"),
+        (["--policy", "sdo", "--k", "8"], "exact_session_error"),
+    ],
+    ids=["fo-k3", "sym3", "sdo-k8"],
+)
+def test_analytic_records_reach_the_timed_names(flags, timed, monkeypatch, capsys):
+    # simulator.estimate_alphas_s and analytic.exact_session_error_s time these names, so the CLI
+    # must look them up at call time: an estimated law through smddc.cli.estimate_alphas, once,
+    # and a closed-form law's exact value through smddc.analytic.exact_session_error
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(smddc.cli, "estimate_alphas")
+    counted(smddc.analytic, "exact_session_error")
+    assert smddc.cli.main(["analytic", "--gamma", "4", "--omega", "20", "--trials", "20000", *flags]) == 0
+    capsys.readouterr()
+    assert calls == {timed: 1}

@@ -4,8 +4,10 @@ import math
 import pytest
 
 import smddc.cli
+import smddc.simulator
 from smddc import (
     PacketCountDistribution,
+    PolicyKind,
     SessionSpec,
     beta1,
     beta2_sdo,
@@ -336,6 +338,20 @@ def test_workers_below_one_is_exit_2(capsys, workers):
         assert code == 2 and out == "" and "workers must be at least 1" in err
 
 
+def test_workers_above_the_maximum_is_exit_2(capsys, monkeypatch):
+    # every command, before any thread could start
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made")
+
+    monkeypatch.setattr(smddc.simulator, "ThreadPoolExecutor", no_pool)
+    workers = str(smddc.simulator.MAX_WORKERS + 1)
+    common = ["--gamma", "4", "--omega", "20", "--k", "3", "--policy", "fo", "--trials", "2000", "--workers", workers]
+    for argv in (["simulate"], ["sweep", "--axis", "w_s", "--values", "55"], ["analytic"], ["ladder"]):
+        code, out, err = run_cli(capsys, [*argv, *common])
+        assert code == 2 and out == ""
+        assert err == f"error: workers must be at least 1 and at most {smddc.simulator.MAX_WORKERS}, got {workers}\n"
+
+
 def test_missing_budget_is_exit_2(capsys):
     code, _, err = run_cli(capsys, ["simulate", "--gamma", "4"])
     assert code == 2 and "error:" in err
@@ -567,3 +583,40 @@ def test_failed_command_keeps_out_file(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, [*argv, "--gamma", "4", "--omega", "20", "--trials", "100", "--out", str(path)])
     assert code == 2 and out == "" and err.startswith("error: ")
     assert path.read_text() == "kept\n"
+
+
+RULE_CASES = [
+    (policy, k)
+    for k in (2, 3, 8)
+    for policy in (PolicyKind.oma(), *map(PolicyKind.symmetric, (1, 2, 3)), PolicyKind.sdo(), PolicyKind.fo())
+    if policy.depth <= k
+]
+
+
+def _analytic_json(capsys, policy, k):
+    argv = ["analytic", "--gamma", "4", "--omega", "20", "--k", str(k), "--trials", "20000", "--format", "json"]
+    code, out, _ = run_cli(capsys, [*argv, "--policy", policy.variant, "--depth", str(policy.depth)])
+    assert code == 0
+    return json.loads(out, parse_constant=_reject_constant)["record"]
+
+
+@pytest.mark.parametrize("policy,k", RULE_CASES, ids=[f"{p.variant}{p.depth}-k{k}" for p, k in RULE_CASES])
+def test_analytic_law_is_exact_iff_the_per_slot_cap_is_at_most_two(capsys, policy, k):
+    # one rule for every policy, keyed on the cap: FO at K = 2 is closed form, sym 3 never is
+    cap = policy.max_packets(k)
+    record = _analytic_json(capsys, policy, k)
+    assert len(record["alphas"]) == cap + 1
+    assert (record["exact_p_se"] is not None) == (cap <= 2)
+    assert (record["beta2"] is not None) == (record["eta"] is not None) == (cap == 2)
+
+
+def test_fo_at_two_users_prints_sdo(capsys):
+    # with one cross gain FO is SDO slot by slot: the same closed-form record, and the same sweep rows
+    fo, sdo = (_analytic_json(capsys, policy, 2) for policy in (PolicyKind.fo(), PolicyKind.sdo()))
+    assert fo == sdo and fo["exact_p_se"] is not None
+    argv = ["sweep", "--gamma", "4", "--omega", "20", "--k", "2", "--policy", "fo,sdo", "--trials", "2000"]
+    code, out, _ = run_cli(capsys, [*argv, "--axis", "w_s", "--values", "50,55"])
+    fo_rows, sdo_rows = (
+        [{**row, "policy": None} for row in _csv_rows(out) if row["policy"] == name] for name in ("fo", "sdo")
+    )
+    assert code == 0 and len(fo_rows) == 2 and fo_rows == sdo_rows

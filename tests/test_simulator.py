@@ -20,6 +20,7 @@ from smddc import (
     SystemConfig,
     alphas_from_betas,
     beta1,
+    beta2_sdo,
     beta2_symmetric,
     draw_exponential,
     estimate_alphas,
@@ -101,13 +102,17 @@ def test_estimate_alphas_deterministic_policy():
 
 
 def test_estimate_alphas_matches_beta2():
+    # symmetric depth 2, and FO at K = 2, which is SDO: its one cross gain is the best
     cfg = SystemConfig(gamma=4, omega=20, k=2, depth=2, w=50, w_s=55)
     n = 400_000
-    dist = estimate_alphas(PolicyKind.symmetric(2), cfg, trials=n, seed=2)
-    p = beta2_symmetric(4.0, 20.0, 20.0)
-    se = math.sqrt(p * (1 - p) / n)
-    assert abs(dist.probs[2] - p) < 3 * se
-    assert abs(dist.probs[0] - (1 - beta1(4.0, 20.0))) < 3 * se
+    for policy, p in [
+        (PolicyKind.symmetric(2), beta2_symmetric(4.0, 20.0, 20.0)),
+        (PolicyKind.fo(), beta2_sdo(4.0, 20.0, 20.0, 2)),
+    ]:
+        dist = estimate_alphas(policy, cfg, trials=n, seed=2)
+        se = math.sqrt(p * (1 - p) / n)
+        assert abs(dist.probs[2] - p) < 3 * se
+        assert abs(dist.probs[0] - (1 - beta1(4.0, 20.0))) < 3 * se
 
 
 def test_estimate_alphas_mean_nondecreasing_in_depth():
@@ -252,13 +257,17 @@ def test_cross_policies_need_two_users(policy, monkeypatch):
         estimate_alphas(policy, cfg, trials=100)
 
 
-def test_pool_has_no_more_workers_than_runs(monkeypatch):
-    # the engine submits one run per worker: 64 threads for 2 batches
-    sizes = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the engine's ThreadPoolExecutor with one that runs each submit on the caller and starts no thread.
+
+    Returns its log: the max_workers of each pool made, and the functions submitted.
+    """
+    log = {"sizes": [], "submitted": []}
 
     class InProcessPool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            log["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -267,15 +276,39 @@ def test_pool_has_no_more_workers_than_runs(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            log["submitted"].append(fn)
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", InProcessPool)
+    return log
+
+
+def test_pool_has_no_more_workers_than_runs(in_process_pool):
+    # the engine submits one run per worker: 64 threads for 2 batches
     kw = dict(trials=2_000, seed=4, batch_size=1_000)
     pooled = estimate_session_error(PolicyKind.sdo(), CFG, workers=64, **kw)
+    sizes = in_process_pool["sizes"]
     assert len(sizes) == 1 and 1 <= sizes[0] <= 2
     assert pooled == estimate_session_error(PolicyKind.sdo(), CFG, **kw)
+
+
+@pytest.mark.parametrize("estimate", [estimate_session_error, estimate_alphas])
+def test_workers_above_the_maximum_start_nothing(in_process_pool, estimate):
+    # each run past the caller's is a thread, so one request starts at most MAX_WORKERS - 1 of them;
+    # criterion 12 runs 8 workers
+    assert simulator.MAX_WORKERS >= 8
+    kw = dict(trials=5_000, seed=3, batch_size=1_000)  # 5 batches
+    serial = estimate(PolicyKind.fo(), CFG, **kw)
+    for workers in (simulator.MAX_WORKERS + 1, 10**9):
+        with pytest.raises(ValueError, match=f"workers must be at most {simulator.MAX_WORKERS}, got {workers}"):
+            estimate(PolicyKind.fo(), CFG, workers=workers, **kw)
+    assert in_process_pool["submitted"] == [] and len(in_process_pool["sizes"]) == 1  # the serial call's pool
+    for workers in (2, 5, 6, simulator.MAX_WORKERS):
+        in_process_pool["submitted"].clear()
+        assert estimate(PolicyKind.fo(), CFG, workers=workers, **kw) == serial
+        assert len(in_process_pool["submitted"]) == min(workers, 5) - 1
 
 
 def test_workers_run_in_the_callers_process(monkeypatch):
