@@ -7,6 +7,7 @@ flags and seed.
 """
 
 import argparse
+import bisect
 import csv
 import io
 import json
@@ -38,10 +39,10 @@ def _parse_values(text: str, as_int: bool):
             raise ValueError("range step must be positive")
         if round(start + step, 12) == round(start, 12):  # each point is rounded to 12 digits below
             raise ValueError(f"range step {step!r} is lost when rounded to 12 digits, got {text!r}")
-        span = (end - start) / step
-        if span == math.inf:
+        if not (end - start) / step < 2.0**52:  # inf too; below 2**52, i * step tells every i from i + 1
             raise ValueError(f"range {text!r} holds more than {MAX_RANGE_POINTS} values")
-        count = math.floor(max(span, -1.0) + 1e-9) + 1  # floor(-inf) would raise OverflowError
+        # value i rises with i, so the count of values <= end is one search
+        count = bisect.bisect_right(range(2**53), round(end, 12), key=lambda i: round(start + i * step, 12))
         if count < 1:
             raise ValueError(f"range {text!r} holds no value")
         if count > MAX_RANGE_POINTS:
@@ -65,11 +66,11 @@ def _build_config(args) -> tuple[SystemConfig, list[PolicyKind]]:
     omega = db_to_linear(args.omega_db) if args.omega_db is not None else args.omega
     if gamma is None or omega is None:
         raise ValueError("gamma and omega are required (linear or dB)")
-    if not all(math.isfinite(x) for x in (gamma, omega, args.n0)):
-        raise ValueError("gamma, omega and n0 must be finite")
+    if not (math.isfinite(gamma) and math.isfinite(omega)):
+        raise ValueError("gamma and omega must be finite")
     names = [name.strip() for name in args.policy.split(",")] if args.command == "sweep" else [args.policy]
     policies = [PolicyKind.named(name, args.depth) for name in names]
-    config = SystemConfig(gamma=gamma, omega=omega, n0=args.n0, k=args.k, depth=args.depth, w=args.w, w_s=args.ws)
+    config = SystemConfig(gamma=gamma, omega=omega, k=args.k, depth=args.depth, w=args.w, w_s=args.ws)
     return config, policies
 
 
@@ -133,7 +134,7 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
 
 
 def cmd_ladder(config: SystemConfig, policies, args) -> int:
-    ladder = build_ladder(config.gamma, config.n0, config.depth)
+    ladder = build_ladder(config.gamma, 1.0, config.depth)
     if math.inf in ladder.levels:  # a policy treats an infinite level as unaffordable
         level = ladder.levels.index(math.inf) + 1
         raise ValueError(f"the received power of level {level} of {config.depth} overflows")
@@ -252,9 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--gamma", type=float, help="target SINR (linear)")
         p.add_argument("--gamma-db", type=float, help="target SINR in dB (overrides --gamma)")
-        p.add_argument("--omega", type=float, help="power budget (linear)")
-        p.add_argument("--omega-db", type=float, help="power budget in dB (overrides --omega)")
-        p.add_argument("--n0", type=float, default=1.0, help="noise power (default 1)")
+        p.add_argument("--omega", type=float, help="power budget over the noise power (linear)")
+        p.add_argument("--omega-db", type=float, help="power budget over the noise power in dB (overrides --omega)")
         p.add_argument("--k", type=int, default=2, help="number of channels/users")
         p.add_argument("--depth", type=int, default=1, help="NOMA depth L (sym policy)")
         p.add_argument("--w", type=int, default=50, help="packets per stream")

@@ -12,15 +12,14 @@ from .power_ladder import PowerLadder, build_ladder
 class SystemConfig:
     """All scenario parameters, in linear units (the CLI converts dB inputs).
 
-    gamma: per-level SINR target; omega: the user's power budget; n0: noise
-    power; k: number of channels/users; depth: the CLI's --depth, the L
-    that `smddc ladder` prints (a policy carries its own depth); w packets
-    within w_s slots.
+    gamma: per-level SINR target; omega: the user's power budget over the
+    noise power, which is 1 (the probabilities depend on the two only by their
+    ratio); k: number of channels/users; depth: the CLI's --depth, the L that
+    `smddc ladder` prints (a policy carries its own depth); w packets within w_s slots.
     """
 
     gamma: float
     omega: float
-    n0: float = 1.0
     k: int = 2
     depth: int = 1
     w: int = 50
@@ -28,8 +27,8 @@ class SystemConfig:
 
     def __post_init__(self):
         _store_ints(self, "k", "depth", "w", "w_s")
-        if not all(x > 0 for x in (self.gamma, self.omega, self.n0)):  # NaN fails too
-            raise ValueError("gamma, omega and n0 must be positive")
+        if not (self.gamma > 0 and self.omega > 0):  # NaN fails too
+            raise ValueError("gamma and omega must be positive")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if self.depth < 1:
@@ -40,9 +39,9 @@ class SystemConfig:
         return SessionSpec(w=self.w, w_s=self.w_s)
 
     def ladder_for(self, policy: PolicyKind) -> PowerLadder:
-        """Power ladder of the policy, which must be able to run with this config's k."""
+        """Power ladder of the policy at unit noise power; the policy must be able to run with this config's k."""
         policy.check_users(self.k)
-        return build_ladder(self.gamma, self.n0, policy.depth)
+        return build_ladder(self.gamma, 1.0, policy.depth)
 
 
 def db_to_linear(value_db: float) -> float:

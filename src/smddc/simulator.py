@@ -26,7 +26,7 @@ _undecided).  OMA, SDO, symmetric L <= 2 and FO at K = 2 read the dense
 levels alone, so the screen leaves their bits as they were.
 
 The caller runs batches beside workers - 1 threads of its process, and
-each run takes the next batch from one shared list as soon as it is free;
+each run takes the next batch from one shared iterator as soon as it is free;
 both estimates, of sessions and of the packet-count law, start runs in _launch.
 numpy's draws and large ufunc loops release the GIL; a batch's
 Python-level work, about 80 us, holds it (a 1,000-session SDO+FO batch at
@@ -44,6 +44,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import ProcessPoolExecutor  # unused: bench/spans.py replaces it, and raises if it is gone
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -79,18 +80,19 @@ class DescendingCrossGains:
     a_{j+1} = a_j + E_{j+1}/(m-j) are minus the logs of the CDF values of
     the m gains in descending order, and the level-j gain is
     gain_from_neg_log_cdf(a_j).  `best`, the top level, is drawn for every
-    slot of `shape`, into the arrays `top` and `best` if given (new ones
-    if None).  A call (level, keep) is a kernel's `deeper`: it draws
-    the level below `best` by 1 + level only for the slots `keep`, indices
-    into the flattened slots of `best` at level 0 and into the slots of
-    the previous call after it, so a level depends only on the levels
-    above it, and each pass of a kernel starts again at `best`.
+    slot, a_1 into `top` and the gains into `best`, two C-contiguous
+    float64 arrays of the slots' shape.  A call (level, keep) is a
+    kernel's `deeper`: it draws the level below `best` by 1 + level only
+    for the slots `keep`, indices into the flattened slots of `best` at
+    level 0 and into the slots of the previous call after it, so a level
+    depends only on the levels above it, and each pass of a kernel starts
+    again at `best`.
     """
 
-    def __init__(self, stream: RngStream, m: int, shape, top=None, best=None):
+    def __init__(self, stream: RngStream, m: int, top, best):
         self._stream, self._m = stream, m
-        self._top = draw_exponential(stream, 1.0 / m, shape, out=top)
-        self.best = gain_from_neg_log_cdf(self._top, out=best)
+        self._top = draw_exponential(stream, 1.0 / m, top.shape, out=top)
+        self.best = gain_from_neg_log_cdf(top, out=best)
 
     def __call__(self, level, keep):
         above = self._top.reshape(-1) if level == 0 else self._a
@@ -130,20 +132,15 @@ def _undecided(dense, lengths, w: int):
 
 
 def _buffer(buffers, name, shape):
-    """The run's float64 buffer `name` as an array of `shape`; None, for a new array, if buffers is None.
-
-    A run's first batch is its largest, so each buffer is made for it, and
-    a smaller last batch takes its contiguous prefix.
-    """
-    if buffers is None:
-        return None
+    """The run's float64 buffer `name` of the dict `buffers` as an array of `shape`: made for the run's
+    first batch, its largest, and a contiguous prefix of it for a smaller last one."""
     size = math.prod(shape)
     if name not in buffers:
         buffers[name] = np.empty(size)
     return buffers[name][:size].reshape(shape)
 
 
-def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape, lengths=None, buffers=None):
+def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, shape, buffers, lengths=None):
     """Vectorized per-slot packet counts over an array of slots of the given shape.
 
     Every slot draws its own gain and, for SDO and FO, its best cross gain;
@@ -156,9 +153,9 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     decide every session at every length.  FO's deeper(level, keep) is the
     cross-gain sampler, symmetric's one Exp(1) per kept slot.  SDO draws
     as FO does, so its count is FO's capped at 2.  The dense levels are
-    drawn into the dict `buffers` (see _buffer), good until its next
-    batch, or into new arrays if None; the counts returned are the
-    kernel's own new array.
+    drawn into the run's dict `buffers` (see _buffer; {} for arrays of
+    this call alone), good until its next batch; the counts returned are
+    the kernel's own new array.
     """
     ladder = config.ladder_for(policy)
     rho, omega = ladder.levels, config.omega
@@ -173,7 +170,7 @@ def _slot_counts(policy: PolicyKind, config: SystemConfig, stream: RngStream, sh
     if policy.variant == "oma":
         return policies.oma_packet_counts(own, rho[0], omega)
     top, best = (_buffer(buffers, name, shape) for name in ("top", "best"))
-    cross = DescendingCrossGains(stream, config.k - 1, shape, top, best)
+    cross = DescendingCrossGains(stream, config.k - 1, top, best)
     if policy.variant == "sdo":  # keeps only the best cross gain, not the sampler's state
         return policies.sdo_packet_counts(own, cross.best, rho[0], rho[1], omega)
     return policies.fo_packet_counts(own, cross.best[..., None], rho[0], rho[1], omega, cross, config.k - 1, passes)
@@ -211,7 +208,7 @@ def _run_batches(policies, config: SystemConfig, lengths, seed: int, jobs):
     errors = np.zeros((len(lengths), len(policies)), dtype=np.int64)
     for b, n_sessions in jobs:
         for driver, members in families:
-            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), lengths, buffers)
+            counts = _slot_counts(driver, config, RngStream(seed, b), (lengths[-1], n_sessions), buffers, lengths)
             for i in members:
                 cap = policies[i].max_packets(config.k)
                 if cap < driver.max_packets(config.k):  # the driver's counts never exceed its own cap
@@ -224,7 +221,7 @@ def _run_law(policy: PolicyKind, config: SystemConfig, seed: int, jobs):
     """Slot counts by packet count, 0 to the cap, over the batches (b, n slots) it takes from `jobs`."""
     buffers, freq = {}, np.zeros(policy.max_packets(config.k) + 1, dtype=np.int64)
     for b, n_slots in jobs:
-        counts = _slot_counts(policy, config, RngStream(seed, b), (n_slots,), buffers=buffers)
+        counts = _slot_counts(policy, config, RngStream(seed, b), (n_slots,), buffers)
         freq += np.bincount(counts, minlength=freq.size)
     return freq
 
@@ -233,17 +230,20 @@ def _launch(run, trials: int, workers: int, batch_size: int):
     """The integer sum of run(jobs) over the caller's run and those of min(workers, batches) - 1 threads.
 
     `trials` is split in order into batches (b, n), n = batch_size but for
-    a smaller last one, and each run takes the next one from the shared
-    iterator `jobs` when free.  An error or Ctrl-C in a run empties `jobs`,
-    so every other run stops after its current batch, and it is raised here.
+    a smaller last one, and each run takes the next one from `jobs` when
+    free: one C-level iterator, which threads may share (a generator raises
+    when two step it) and which holds no list of the batches.  An error or
+    Ctrl-C in a run empties `jobs`, so every other run stops after its
+    current batch, and it is raised here.
     """
     for name, value in (("trials", trials), ("workers", workers), ("batch_size", batch_size)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    batches = [(b, min(batch_size, trials - start)) for b, start in enumerate(range(0, trials, batch_size))]
-    threads, jobs = min(workers, len(batches)) - 1, iter(batches)  # a list's iterator, safe to share across threads
+    full, tail = divmod(trials, batch_size)
+    jobs = zip(count(), chain(repeat(batch_size, full), [tail] if tail else []))
+    threads = min(workers, full + (tail > 0)) - 1
 
     def stopping():
         try:

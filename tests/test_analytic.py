@@ -153,8 +153,22 @@ def test_beta2_sdo_rejects_nan():
         (lambda: build_ladder(4.0, math.nan, 2), "n0 must be positive, got nan"),
         (lambda: draw_exponential(RngStream(1), math.nan, 3), "mean must be positive, got nan"),
         (lambda: x_k1(math.nan), "x_k1 requires x >= 0, got nan"),
+        (lambda: chernoff_oma(math.nan, SessionSpec(50, 55)), r"alpha1_bar must be in \[0,1\], got nan"),
+        (lambda: oma_session_error_binomial(math.nan, SessionSpec(50, 55)), r"alpha1_bar must be in \[0,1\], got nan"),
+        (lambda: noma_factor(math.nan, 0.5), "alpha0 and alpha2_bar must be probabilities"),
+        # and the other checks that no other test reaches: empty, of the wrong depth, or summing past 1
+        (lambda: PacketCountDistribution(()), "probs must be non-empty"),
+        (lambda: alphas_from_betas([]), "betas must be non-empty"),
+        (
+            lambda: chernoff_noma2(PacketCountDistribution((0.5, 0.5)), SessionSpec(50, 55)),
+            "chernoff_noma2 needs a depth-2 distribution, got max 1",
+        ),
+        (lambda: noma_factor(0.6, 0.6), r"alpha0 \+ alpha2_bar must not exceed 1, got 1.2"),
     ],
-    ids=["beta1", "beta2_symmetric", "ladder_gamma", "ladder_n0", "draw_mean", "x_k1"],
+    ids=[
+        "beta1", "beta2_symmetric", "ladder_gamma", "ladder_n0", "draw_mean", "x_k1", "chernoff_oma",
+        "oma_binomial", "noma_factor_range", "empty_law", "empty_betas", "chernoff_noma2_depth", "noma_factor_sum",
+    ],  # fmt: skip
 )
 def test_public_validators_reject_nan(call, message):
     # NaN passes every `x <= 0` check and came back as a NaN result

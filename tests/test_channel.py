@@ -130,7 +130,7 @@ def test_substream_independence():
 
 def all_levels(stream, m, n):
     """All m descending cross gains of n slots, with no slot ever dropped."""
-    cross = DescendingCrossGains(stream, m, (n,))
+    cross = DescendingCrossGains(stream, m, np.empty(n), np.empty(n))
     every = np.arange(n)
     return np.stack([cross.best] + [cross(level, every) for level in range(m - 1)])
 
@@ -168,7 +168,7 @@ def test_order_statistics_positive_descending():
 def test_cross_gains_follow_kept_slots():
     # a deeper level is drawn for the kept slots only, each below its own
     # level above, whatever the shape of the first level
-    cross = DescendingCrossGains(RngStream(11, 0), 5, (4, 250))
+    cross = DescendingCrossGains(RngStream(11, 0), 5, np.empty((4, 250)), np.empty((4, 250)))
     best = cross.best.ravel()
     keep = np.flatnonzero(best > 1.0)
     second = cross(0, keep)
@@ -181,7 +181,7 @@ def test_cross_gains_follow_kept_slots():
 def test_cross_gains_restart_at_best_for_each_pass():
     # each pass's first call, at level 0, indexes the flattened slots of
     # `best` again, however deep the pass before it went
-    cross = DescendingCrossGains(RngStream(12, 0), 5, (4, 250))
+    cross = DescendingCrossGains(RngStream(12, 0), 5, np.empty((4, 250)), np.empty((4, 250)))
     best = cross.best.ravel()
     for first in [np.flatnonzero(best > 1.0), np.flatnonzero(best <= 1.0)]:
         second = cross(0, first)

@@ -153,6 +153,10 @@ def test_sweep_error_row_shows_swept_value(capsys):
     i_k, i_err = header.index("k"), header.index("error")
     assert [r[i_k] for r in rows] == ["1", "2"]
     assert [r[i_err] for r in rows] == ["sdo needs k >= 2", ""]
+    # only sym has a depth to sweep
+    argv = ["sweep", "--gamma", "4", "--omega", "20", "--policy", "oma", "--axis", "depth", "--values", "2"]
+    code, out, _ = run_cli(capsys, [*argv, "--trials", "2000"])
+    assert code == 0 and [row["error"] for row in _csv_rows(out)] == ["axis=depth requires the sym policy"]
 
 
 def test_sweep_depth_runs_swept_depth(capsys):
@@ -283,6 +287,8 @@ def test_sweep_integer_axis_rejects_fractional_range(capsys):
         ("1:1e-11:1e300", "range '1:1e-11:1e300' holds more than 1000000 values"),
         ("-1e308:1e308:1e308", "range '-1e308:1e308:1e308' holds more than 1000000 values"),
         ("1e308:1e308:-1e308", "range '1e308:1e308:-1e308' holds no value"),
+        ("50:55", "range must be start:step:end, got '50:55'"),
+        ("50:0:55", "range step must be positive"),
     ],
 )
 def test_sweep_empty_or_unbounded_range_is_exit_2(capsys, values, message):
@@ -311,6 +317,14 @@ def test_sweep_range_step_lost_to_rounding_is_exit_2(capsys, values, step):
 def test_sweep_range_values_do_not_drift():
     # value i is start + i*step, not a running sum of steps
     assert smddc.cli._parse_values("0:0.1:1000", False) == [i / 10 for i in range(10001)]
+    # and the end point is kept where (end - start) / step falls short of the count by more
+    # than a fixed slack, as it does for a start many steps from zero
+    for text, count, last in [
+        ("1807420:0.0469:1807420.8442", 19, 1807420.8442),
+        ("7152116:0.00405:7152116.05670", 15, 7152116.0567),
+    ]:
+        values = smddc.cli._parse_values(text, False)
+        assert len(values) == count and values[-1] == last
 
 
 def test_sweep_range_of_too_many_points_is_exit_2(capsys):
@@ -366,6 +380,11 @@ def test_invalid_config_is_exit_2(capsys):
     # w_s < w is not a valid session
     code, _, _ = run_cli(capsys, ["simulate", "--gamma", "4", "--omega", "20", "--w", "50", "--ws", "40"])
     assert code == 2
+    # the noise power is 1, omega is the budget over it: no command takes --n0
+    for command in ("ladder", "analytic", "simulate", "sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--gamma", "4", "--omega", "20", "--n0", "1"])
+        assert exc.value.code == 2
 
 
 def test_out_file(tmp_path, capsys):
@@ -542,7 +561,7 @@ def test_analytic_json_is_strict_when_no_slot_fails(capsys, policy):
     [
         ["--gamma", "inf", "--omega", "20"],
         ["--gamma", "4", "--omega", "nan"],
-        ["--gamma", "4", "--omega", "20", "--n0", "inf"],
+        ["--gamma=-inf", "--omega", "20"],
         ["--gamma-db", "nan", "--omega", "20"],
         ["--gamma", "4", "--omega-db", "inf"],
         ["--gamma-db", "4000", "--omega", "20"],
@@ -551,7 +570,7 @@ def test_analytic_json_is_strict_when_no_slot_fails(capsys, policy):
 )
 def test_non_finite_input_is_exit_2(capsys, flags):
     code, out, err = run_cli(capsys, ["simulate", *flags, "--trials", "100"])
-    assert code == 2 and out == "" and err == "error: gamma, omega and n0 must be finite\n"
+    assert code == 2 and out == "" and err == "error: gamma and omega must be finite\n"
 
 
 @pytest.mark.parametrize("values", ["nan,20", "20,inf"])

@@ -50,7 +50,7 @@ def test_slot_counts_forced_failure():
     # drawn, none carries a packet, and the session misses its w packets
     cfg = SystemConfig(gamma=4, omega=1e-300, k=3, w=50, w_s=55)
     for policy in ALL_POLICIES:
-        counts = _slot_counts(policy, cfg, RngStream(0, 0), (1, cfg.w_s))
+        counts = _slot_counts(policy, cfg, RngStream(0, 0), (1, cfg.w_s), {})
         assert counts.shape == (1, cfg.w_s)
         assert counts.sum() == 0 and counts.sum() < cfg.w
 
@@ -129,7 +129,7 @@ def test_estimate_alphas_mean_nondecreasing_in_depth():
 def test_packets_bounded_by_policy_cap():
     cfg = SystemConfig(gamma=2, omega=50, k=4, depth=3, w=50, w_s=55)
     for policy in (PolicyKind.symmetric(3), PolicyKind.fo()):
-        counts = _slot_counts(policy, cfg, RngStream(5, 0), (1000, cfg.w_s))
+        counts = _slot_counts(policy, cfg, RngStream(5, 0), (1000, cfg.w_s), {})
         assert counts.min() >= 0 and counts.max() <= policy.max_packets(cfg.k)
 
 
@@ -138,8 +138,8 @@ def test_sdo_is_fo_capped_at_two(k):
     # SDO and FO share one draw of the descending cross gains, and SDO's
     # two-packet test is FO's first extra step, so they agree bit for bit
     cfg = SystemConfig(gamma=4, omega=20, k=k, w=50, w_s=55)
-    sdo = _slot_counts(PolicyKind.sdo(), cfg, RngStream(11, k), (cfg.w_s, 2000))
-    fo = _slot_counts(PolicyKind.fo(), cfg, RngStream(11, k), (cfg.w_s, 2000))
+    sdo = _slot_counts(PolicyKind.sdo(), cfg, RngStream(11, k), (cfg.w_s, 2000), {})
+    fo = _slot_counts(PolicyKind.fo(), cfg, RngStream(11, k), (cfg.w_s, 2000), {})
     assert np.array_equal(sdo, np.minimum(fo, 2))
     assert (fo > sdo).any() == (k > 2)
 
@@ -148,7 +148,7 @@ def test_fo_many_users_unlimited_budget():
     # K = 300 packets per slot and w_s * K = 60,000 per session overflow
     # 8-bit counts and 16-bit signed sums
     cfg = SystemConfig(gamma=4, omega=math.inf, k=300, w=200, w_s=200)
-    counts = _slot_counts(PolicyKind.fo(), cfg, RngStream(12, 0), (cfg.w_s, 20))
+    counts = _slot_counts(PolicyKind.fo(), cfg, RngStream(12, 0), (cfg.w_s, 20), {})
     assert (counts == cfg.k).all()
     stats = estimate_session_error(PolicyKind.fo(), cfg, trials=50)
     assert stats.errors == 0
@@ -158,12 +158,12 @@ def test_symmetric_depths_nest():
     # level l is drawn only where levels 1..l-1 fit, and rho_l does not
     # depend on the depth, so a shallower ladder is a deeper one capped
     cfg = SystemConfig(gamma=1, omega=30, k=6, w=50, w_s=55)
-    deep = _slot_counts(PolicyKind.symmetric(5), cfg, RngStream(13, 0), (cfg.w_s, 2000))
+    deep = _slot_counts(PolicyKind.symmetric(5), cfg, RngStream(13, 0), (cfg.w_s, 2000), {})
     assert (deep >= 4).any()
     for depth in range(1, 5):
-        shallow = _slot_counts(PolicyKind.symmetric(depth), cfg, RngStream(13, 0), (cfg.w_s, 2000))
+        shallow = _slot_counts(PolicyKind.symmetric(depth), cfg, RngStream(13, 0), (cfg.w_s, 2000), {})
         assert np.array_equal(shallow, np.minimum(deep, depth)), depth
-    oma = _slot_counts(PolicyKind.oma(), cfg, RngStream(13, 0), (cfg.w_s, 2000))
+    oma = _slot_counts(PolicyKind.oma(), cfg, RngStream(13, 0), (cfg.w_s, 2000), {})
     assert np.array_equal(oma, np.minimum(deep, 1))
 
 
@@ -196,7 +196,7 @@ def test_law_does_not_depend_on_worker_count(policy, cfg):
     # for it; the law is the batches' counts as if each were drawn alone into new arrays
     kw = dict(trials=50_001, seed=14, batch_size=10_000)
     sizes = [10_000] * 5 + [1]
-    slots = (_slot_counts(policy, cfg, RngStream(14, b), (n,)) for b, n in enumerate(sizes))
+    slots = (_slot_counts(policy, cfg, RngStream(14, b), (n,), {}) for b, n in enumerate(sizes))
     freq = sum(np.bincount(counts, minlength=policy.max_packets(cfg.k) + 1) for counts in slots)
     assert freq[3] > 0  # a deeper level is drawn
     for workers in (1, 2, 3, 8):
@@ -214,10 +214,10 @@ def test_invalid_trials():
         estimate_alphas(PolicyKind.oma(), CFG, trials=0)
 
 
-@pytest.mark.parametrize("field", ["gamma", "omega", "n0"])
+@pytest.mark.parametrize("field", ["gamma", "omega"])
 def test_config_rejects_nan(field):
-    with pytest.raises(ValueError, match="gamma, omega and n0 must be positive"):
-        SystemConfig(**{"gamma": 4.0, "omega": 20.0, "n0": 1.0, field: math.nan})
+    with pytest.raises(ValueError, match="gamma and omega must be positive"):
+        SystemConfig(**{"gamma": 4.0, "omega": 20.0, field: math.nan})
 
 
 @pytest.mark.parametrize("field, value", [("k", 3.0), ("depth", 2.0), ("w", 50.0), ("w_s", 55.5)])
@@ -374,6 +374,15 @@ def test_threads_take_every_batch_once(monkeypatch):
             sys.setswitchinterval(interval)
         assert sorted(taken) == list(range(301))
         assert threaded == estimate(PolicyKind.fo(), CFG, **kw)
+    # and the batches are handed out one at a time: 10**5 of them are never held at once,
+    # where a list of (b, n) tuples took 9.2 MB
+    tracemalloc.start()
+    try:
+        first = simulator._launch(lambda jobs: sum(n for _, n in itertools.islice(jobs, 3)), 10**8, 2, 1_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == 6_000 and peak < 100_000
 
 
 def test_an_error_in_a_run_stops_every_run(monkeypatch):
@@ -461,7 +470,7 @@ def test_batch_size_below_one_is_rejected(estimate, batch_size, monkeypatch):
 
 def _fresh_errors(policy, cfg, seed, batch_index, n_sessions):
     """Session errors of one batch from arrays allocated for it alone, its deeper levels screened at cfg.w_s."""
-    counts = _slot_counts(policy, cfg, RngStream(seed, batch_index), (cfg.w_s, n_sessions), [cfg.w_s])
+    counts = _slot_counts(policy, cfg, RngStream(seed, batch_index), (cfg.w_s, n_sessions), {}, [cfg.w_s])
     return int(np.count_nonzero(counts.sum(axis=0, dtype=np.int64) < cfg.w))
 
 
@@ -550,9 +559,10 @@ def test_curves_count_prefixes_of_one_draw(cfg, policies, workers, batch_size):
         for i, policy in enumerate(policies):
             cap = policy.max_packets(cfg.k)
             if cap > 2:  # FO, sym >= 3: the family's one draw, its deeper levels screened at every length
-                counts = np.minimum(_slot_counts(deepest, cfg, RngStream(seed, b), (max(w_s_values), n), lengths), cap)
+                drawn = _slot_counts(deepest, cfg, RngStream(seed, b), (max(w_s_values), n), {}, lengths)
+                counts = np.minimum(drawn, cap)
             else:
-                counts = _slot_counts(policy, cfg, RngStream(seed, b), (max(w_s_values), n))
+                counts = _slot_counts(policy, cfg, RngStream(seed, b), (max(w_s_values), n), {})
             for w_s in expected:
                 expected[w_s][i] += np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w)
     assert {w_s: [s.errors for s in stats] for w_s, stats in curves.items()} == expected
@@ -575,7 +585,7 @@ def test_no_deeper_draw_where_the_dense_levels_decide_every_session(policy, monk
         return draw_exponential(stream, mean, size, out)
 
     monkeypatch.setattr(simulator, "draw_exponential", counted)
-    _slot_counts(policy, cfg, RngStream(26, 0), (cfg.w_s, 1_000))
+    _slot_counts(policy, cfg, RngStream(26, 0), (cfg.w_s, 1_000), {})
     assert sum(drawn) > 2 * cfg.w_s * 1_000  # unscreened, the same batch draws deeper levels
     drawn.clear()
     curves = estimate_session_error_curves([policy], cfg, (50, 55), trials=3_000, seed=26)
@@ -600,10 +610,10 @@ def test_screen_keeps_the_unscreened_draw_where_the_dense_levels_decide_no_sessi
     lengths, trials, batch, seed = [cfg.w_s - 20, cfg.w_s], 400, 200, 27
     oracle = [0, 0]
     for b in range(trials // batch):
-        dense = _slot_counts(dense_policy, cfg, RngStream(seed, b), (cfg.w_s, batch))
+        dense = _slot_counts(dense_policy, cfg, RngStream(seed, b), (cfg.w_s, batch), {})
         assert dense.sum(axis=0, dtype=np.int64).max() < cfg.w
-        counts = _slot_counts(policy, cfg, RngStream(seed, b), (cfg.w_s, batch))
-        assert np.array_equal(_slot_counts(policy, cfg, RngStream(seed, b), (cfg.w_s, batch), lengths), counts)
+        counts = _slot_counts(policy, cfg, RngStream(seed, b), (cfg.w_s, batch), {})
+        assert np.array_equal(_slot_counts(policy, cfg, RngStream(seed, b), (cfg.w_s, batch), {}, lengths), counts)
         for j, w_s in enumerate(lengths):
             oracle[j] += int(np.count_nonzero(counts[:w_s].sum(axis=0, dtype=np.int64) < cfg.w))
     curves = estimate_session_error_curves([policy], cfg, lengths, trials, seed, batch_size=batch)
@@ -616,8 +626,8 @@ def test_deeper_levels_only_for_sessions_short_at_some_length():
     # are short: those get their deeper levels in the second pass, over their first 50 slots,
     # and FO completes some of them at 50; a session short at no length gets none
     cfg, lengths, shape = SystemConfig(gamma=4, omega=14, k=8, w=50), [50, 70], (70, 2_000)
-    sdo = _slot_counts(PolicyKind.sdo(), cfg, RngStream(30, 0), shape)
-    fo = _slot_counts(PolicyKind.fo(), cfg, RngStream(30, 0), shape, lengths)
+    sdo = _slot_counts(PolicyKind.sdo(), cfg, RngStream(30, 0), shape, {})
+    fo = _slot_counts(PolicyKind.fo(), cfg, RngStream(30, 0), shape, {}, lengths)
     sdo_totals = np.array([sdo[:w_s].sum(axis=0, dtype=np.int64) for w_s in lengths])
     fo_totals = np.array([fo[:w_s].sum(axis=0, dtype=np.int64) for w_s in lengths])
     second = (sdo_totals[0] < cfg.w) & (sdo_totals[1] >= cfg.w)
