@@ -52,6 +52,8 @@ def _parse_values(text: str, as_int: bool):
             value = round(start + i * step, 12)
             if as_int and not value.is_integer():
                 raise ValueError(f"range value {value} is not an integer")
+            if values and value == values[-1]:
+                raise ValueError(f"range step {step!r} repeats {value!r} when rounded to 12 digits, got {text!r}")
             values.append(conv(value))
         return values
     values = [conv(p) for p in text.split(",")]
@@ -78,19 +80,16 @@ def _config_fields(config: SystemConfig, args) -> dict:
     return {**asdict(config), "policy": args.policy, "trials": args.trials, "seed": args.seed}
 
 
-def _packet_count_law(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int, laws: dict):
+def _packet_count_law(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int):
     """(law, exact): the policy's per-slot packet-count law, in closed form iff its per-slot cap is at most 2.
 
     Cap 1 (OMA, symmetric depth 1) is [beta1], cap 2 [beta1, beta2], by beta2_sdo for SDO and for FO at
     K = 2, which is SDO.  Any other law is estimated by simulation from (trials, seed), the same law for
-    any number of `workers`; it does not depend on w_s, so `laws` keeps it by (policy, config with w_s = w).
+    any number of `workers`.  It keeps no cache: no law depends on w_s, so cmd_sweep keeps one per scenario.
     """
     cap = policy.max_packets(config.k)
     if cap > 2:
-        key = (policy, replace(config, w_s=config.w))
-        if key not in laws:
-            laws[key] = estimate_alphas(policy, config, trials, seed=seed, workers=workers)
-        return laws[key], False
+        return estimate_alphas(policy, config, trials, seed=seed, workers=workers), False
     rho, omega = config.ladder_for(policy).levels, config.omega
     betas = [analytic.beta1(rho[0], omega)]
     if cap == 2 and policy.variant == "sym":
@@ -100,8 +99,8 @@ def _packet_count_law(policy: PolicyKind, config: SystemConfig, trials: int, see
     return analytic.alphas_from_betas(betas), True
 
 
-def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed: int, workers: int, laws: dict) -> dict:
-    """All analytic quantities for one configuration, laid out from the law of _packet_count_law.
+def _analytic_record(policy: PolicyKind, config: SystemConfig, law, exact: bool) -> dict:
+    """All analytic quantities for one configuration, laid out from the (law, exact) of _packet_count_law.
 
     An estimated law gets the generic Chernoff minimizer; an exact one its closed-form bound, the NOMA
     factor at cap 2, and the exact session error with its log10, which stays finite below the double
@@ -110,7 +109,6 @@ def _analytic_record(policy: PolicyKind, config: SystemConfig, trials: int, seed
     spec = config.session_spec()
     b1 = analytic.beta1(config.ladder_for(policy).levels[0], config.omega)
     record = {"beta1": b1, **dict.fromkeys(("beta2", "exact_p_se", "log10_exact_p_se", "eta", "z_star"))}
-    law, exact = _packet_count_law(policy, config, trials, seed, workers, laws)
     if not exact:
         cb = analytic.chernoff_generic(law, spec)
     elif law.max_packets == 1:
@@ -147,7 +145,8 @@ def cmd_ladder(config: SystemConfig, policies, args) -> int:
 
 
 def cmd_analytic(config: SystemConfig, policies, args) -> int:
-    record = _analytic_record(policies[0], config, args.trials, args.seed, args.workers, {})
+    law, exact = _packet_count_law(policies[0], config, args.trials, args.seed, args.workers)
+    record = _analytic_record(policies[0], config, law, exact)
     payload = {"command": "analytic", "config": _config_fields(config, args), "record": record}
     _emit(args, payload, [{**record, "alphas": ";".join(repr(a) for a in record["alphas"])}])
     return 0
@@ -185,35 +184,37 @@ _SWEEP_RESULT_KEYS = (
 
 
 def cmd_sweep(config: SystemConfig, policies, args) -> int:
-    """One row per value per policy; the rows of one scenario (the point config but w_s) share one draw."""
+    """One row per value per policy; a point's scenario, its config with w_s = w, keys its law and its draw."""
     values = _parse_values(args.values, as_int=args.axis in ("w_s", "k", "depth"))
     fields = {k: v for k, v in _config_fields(config, args).items() if k not in ("policy", "depth")}
     rows, laws = [], {}
-    groups = {}  # scenario -> [(row, policy, w_s, analytic record)]
+    groups = {}  # scenario -> [(row, policy, w_s)]
     t0 = time.perf_counter()
     for value in values:
         for policy in policies:
             row = {"axis": args.axis, "value": value, "policy": policy.variant, **fields}
             row["depth"] = policy.depth
             row[args.axis] = value
-            row.update(dict.fromkeys(_SWEEP_RESULT_KEYS))
             rows.append(row)
             try:
                 point, point_policy = _apply_axis(config, policy, args.axis, value)
                 row["k"] = point.k
-                record = _analytic_record(point_policy, point, args.trials, args.seed, args.workers, laws)
+                scenario = replace(point, w_s=point.w)
+                law_key = (point_policy, scenario)
+                if law_key not in laws:
+                    laws[law_key] = _packet_count_law(point_policy, scenario, args.trials, args.seed, args.workers)
+                record = _analytic_record(point_policy, point, *laws[law_key])
+                groups.setdefault(scenario, []).append((row, point_policy, point.w_s))
             except (ValueError, ArithmeticError) as exc:
-                row["error"] = str(exc)
-                continue
-            groups.setdefault(replace(point, w_s=point.w), []).append((row, point_policy, point.w_s, record))
-    for scenario, members in groups.items():
-        kinds = list(dict.fromkeys(policy for _, policy, _, _ in members))
-        lengths = {w_s for _, _, w_s, _ in members}
-        curves = estimate_session_error_curves(kinds, scenario, lengths, args.trials, args.seed, args.workers)
-        for row, policy, w_s, record in members:
-            stats = curves[w_s][kinds.index(policy)]
-            record.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
+                record = {"error": str(exc)}
             row.update((key, record.get(key)) for key in _SWEEP_RESULT_KEYS)
+    for scenario, members in groups.items():
+        kinds = list(dict.fromkeys(policy for _, policy, _ in members))
+        lengths = {w_s for _, _, w_s in members}
+        curves = estimate_session_error_curves(kinds, scenario, lengths, args.trials, args.seed, args.workers)
+        for row, policy, w_s in members:
+            stats = curves[w_s][kinds.index(policy)]
+            row.update(p_hat=stats.p_hat, ci95_halfwidth=stats.ci95_halfwidth)
     elapsed = time.perf_counter() - t0
     _emit(args, {"command": "sweep", "config": _config_fields(config, args), "rows": rows}, rows)
     print(f"sweep: {len(rows)} points in {elapsed:.2f} s", file=sys.stderr)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import smddc.analytic
 import smddc.cli
 import smddc.simulator
 from smddc import (
@@ -252,21 +253,27 @@ def test_sweep_ws_longest_row_matches_simulate(capsys):
 
 
 def test_sweep_estimates_each_law_once_per_scenario(capsys, monkeypatch):
-    # FO's and sym 3's laws do not depend on w_s: one estimate each serves every W_S point
-    calls, estimate_alphas = [], smddc.cli.estimate_alphas
+    # no law depends on w_s: one law each, estimated (FO, sym 3) or closed form (SDO), serves every W_S point
+    calls, beta2_calls = [], []
+    estimate_alphas, beta2_sdo = smddc.cli.estimate_alphas, smddc.analytic.beta2_sdo
 
     def counted(policy, config, *args, **kwargs):
         calls.append(policy.variant)
         return estimate_alphas(policy, config, *args, **kwargs)
 
+    def counted_beta2(*args):
+        beta2_calls.append(args)
+        return beta2_sdo(*args)
+
     argv = [
-        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--depth", "3", "--policy", "fo,sym,oma",
+        "sweep", "--gamma", "4", "--omega", "20", "--k", "3", "--depth", "3", "--policy", "fo,sym,oma,sdo",
         "--axis", "w_s", "--values", "50,55,60", "--trials", "2000", "--format", "json",
     ]
     code, expected, _ = run_cli(capsys, argv)
     monkeypatch.setattr(smddc.cli, "estimate_alphas", counted)
+    monkeypatch.setattr(smddc.analytic, "beta2_sdo", counted_beta2)
     code, out, _ = run_cli(capsys, argv)
-    assert code == 0 and out == expected and sorted(calls) == ["fo", "sym"]
+    assert code == 0 and out == expected and sorted(calls) == ["fo", "sym"] and len(beta2_calls) == 1
 
 
 def test_sweep_integer_axis_rejects_fractional_range(capsys):
@@ -300,17 +307,32 @@ def test_sweep_empty_or_unbounded_range_is_exit_2(capsys, values, message):
     assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("values, step", [("1:1e-13:1.000000000001", "1e-13"), ("1:1e-300:2", "1e-300")])
-def test_sweep_range_step_lost_to_rounding_is_exit_2(capsys, values, step):
-    # points are rounded to 12 digits: the first gave 11 points of 2 values,
-    # the second asks for about 1e300 points and never ended
+ROUNDED_RANGE_CASES = [
+    ("1:1e-13:1.000000000001", "range step 1e-13 is lost when rounded to 12 digits, got '1:1e-13:1.000000000001'"),
+    ("1:1e-300:2", "range step 1e-300 is lost when rounded to 12 digits, got '1:1e-300:2'"),
+    (
+        "1:6e-13:1.000000000003",
+        "range step 6e-13 repeats 1.000000000001 when rounded to 12 digits, got '1:6e-13:1.000000000003'",
+    ),
+    (
+        "1000000:7e-11:1000000.0000000005",
+        "range step 7e-11 repeats 1000000.0000000001 when rounded to 12 digits, got '1000000:7e-11:1000000.0000000005'",
+    ),
+]
+
+
+@pytest.mark.parametrize(  # each id is the range and its step
+    "values, message", ROUNDED_RANGE_CASES, ids=[f"{values}-{values.split(':')[1]}" for values, _ in ROUNDED_RANGE_CASES]
+)
+def test_sweep_range_step_lost_to_rounding_is_exit_2(capsys, values, message):
+    # points are rounded to 12 digits: the first gave 11 points of 2 values, the second asks for
+    # about 1e300 points and never ended, the last two gave 6 rows of 4 values and 8 rows of 5
     argv = [
         "sweep", "--gamma", "4", "--omega", "20", "--policy", "oma",
         "--axis", "omega", "--values", values, "--trials", "2000",
     ]
     code, out, err = run_cli(capsys, argv)
-    assert code == 2 and out == ""
-    assert err == f"error: range step {step} is lost when rounded to 12 digits, got {values!r}\n"
+    assert code == 2 and out == "" and err == f"error: {message}\n"
     assert smddc.cli._parse_values("50:5:70", True) == [50, 55, 60, 65, 70]
 
 
@@ -612,9 +634,9 @@ RULE_CASES = [
 ]
 
 
-def _analytic_json(capsys, policy, k):
+def _analytic_json(capsys, policy, k, *flags):
     argv = ["analytic", "--gamma", "4", "--omega", "20", "--k", str(k), "--trials", "20000", "--format", "json"]
-    code, out, _ = run_cli(capsys, [*argv, "--policy", policy.variant, "--depth", str(policy.depth)])
+    code, out, _ = run_cli(capsys, [*argv, "--policy", policy.variant, "--depth", str(policy.depth), *flags])
     assert code == 0
     return json.loads(out, parse_constant=_reject_constant)["record"]
 
@@ -627,6 +649,21 @@ def test_analytic_law_is_exact_iff_the_per_slot_cap_is_at_most_two(capsys, polic
     assert len(record["alphas"]) == cap + 1
     assert (record["exact_p_se"] is not None) == (cap <= 2)
     assert (record["beta2"] is not None) == (record["eta"] is not None) == (cap == 2)
+
+
+@pytest.mark.parametrize("policy,k", RULE_CASES, ids=[f"{p.variant}{p.depth}-k{k}" for p, k in RULE_CASES])
+def test_sweep_law_cached_at_one_length_gives_the_analytic_columns_at_another(capsys, policy, k):
+    # the sweep keeps one law per scenario; each length's columns still equal a separate analytic call
+    argv = ["sweep", "--gamma", "4", "--omega", "20", "--k", str(k), "--trials", "20000", "--format", "json"]
+    code, out, _ = run_cli(
+        capsys, [*argv, "--policy", policy.variant, "--depth", str(policy.depth), "--axis", "w_s", "--values", "50,55"]
+    )
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert code == 0 and [row["w_s"] for row in rows] == [50, 55]
+    columns = ("mean_packets", "chernoff_bound", "chernoff_feasible", "exact_p_se", "eta")
+    for row in rows:
+        record = _analytic_json(capsys, policy, k, "--ws", str(row["w_s"]))
+        assert {c: row[c] for c in columns} == {c: record[c] for c in columns}
 
 
 def test_fo_at_two_users_prints_sdo(capsys):
